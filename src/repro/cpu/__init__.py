@@ -2,7 +2,8 @@
 
 The paper evaluates a 4-core out-of-order system (6-wide, 224-entry ROB)
 simulated with Scarab.  This reproduction uses a trace-driven limit-study
-core model (see DESIGN.md substitutions): the workload generators produce the
+core model (see "Substitutions" in docs/architecture.md): the workload
+generators produce the
 stream of LLC misses/writebacks each core injects, and the core model
 converts per-request memory latencies into cycles under ROB-occupancy and
 MSHR (memory-level-parallelism) constraints.  Relative IPC between

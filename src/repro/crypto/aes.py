@@ -5,14 +5,20 @@ ECC chip(s) for generating one-time pads (OTPs) and MACs.  This module
 provides a bit-accurate software implementation so the functional model can
 produce and verify real E-MACs, OTPs, and XTS ciphertexts.
 
-Performance note: this implementation favours clarity over speed.  It is used
-only by the functional security model and the attack framework, never on the
-timing-simulation hot path.
+The state is four 32-bit column words and every full round is a T-table
+round (Daemen & Rijmen, *The Design of Rijndael*, section 4.2): sixteen
+table lookups and XORs.  The final round is S-box only.  Decryption is the
+equivalent inverse cipher, with InvMixColumns folded into round keys 1-9.
+Each key's encryption and decryption schedules are expanded once and
+memoized, because the functional model builds many ciphers over few keys.
+None of this runs on the timing-simulation hot path.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import functools
+import struct
+from typing import List, Tuple
 
 __all__ = ["AES128"]
 
@@ -42,7 +48,7 @@ _SBOX = [
     0xB0, 0x54, 0xBB, 0x16,
 ]
 
-# Inverse S-box (computed from _SBOX, stored explicitly for clarity).
+# Inverse S-box.
 _INV_SBOX = [0] * 256
 for _i, _v in enumerate(_SBOX):
     _INV_SBOX[_v] = _i
@@ -59,15 +65,72 @@ def _xtime(a: int) -> int:
     return a & 0xFF
 
 
-def _gf_mul(a: int, b: int) -> int:
-    """Multiply two bytes in GF(2^8) with the AES reduction polynomial."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
+def _rotations(column: List[int]) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """``column`` and its byte rotations right by 8, 16 and 24 bits."""
+    return (
+        column,
+        [(w >> 8) | ((w & 0xFF) << 24) for w in column],
+        [(w >> 16) | ((w & 0xFFFF) << 16) for w in column],
+        [(w >> 24) | ((w & 0xFFFFFF) << 8) for w in column],
+    )
+
+
+def _build_tables() -> Tuple[Tuple[List[int], ...], Tuple[List[int], ...]]:
+    """The four encryption and four decryption T-tables.
+
+    ``Te0[x]`` is the MixColumns column ({02}, {01}, {01}, {03}) times
+    ``S[x]``; ``Td0[x]`` is the InvMixColumns column ({0e}, {09}, {0d},
+    {0b}) times ``InvS[x]``.  Tables 1-3 are byte rotations of table 0.
+    """
+    te0, td0 = [], []
+    for x in range(256):
+        s = _SBOX[x]
+        s2 = _xtime(s)
+        te0.append((s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s))
+        i = _INV_SBOX[x]
+        i2 = _xtime(i)
+        i4 = _xtime(i2)
+        i8 = _xtime(i4)
+        td0.append(((i8 ^ i4 ^ i2) << 24) | ((i8 ^ i) << 16) | ((i8 ^ i4 ^ i) << 8) | (i8 ^ i2 ^ i))
+    return _rotations(te0), _rotations(td0)
+
+
+(_TE0, _TE1, _TE2, _TE3), (_TD0, _TD1, _TD2, _TD3) = _build_tables()
+_BLOCK = struct.Struct(">4I")
+
+#: Distinct keys whose expanded schedules are kept.
+_SCHEDULE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _schedules(key: bytes) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(encryption, decryption) round-key words of a 16-byte key, 44 each.
+
+    The decryption schedule is the encryption schedule in reverse round
+    order with InvMixColumns applied to rounds 1-9, as the equivalent
+    inverse cipher requires.
+    """
+    words = list(_BLOCK.unpack(key))
+    sbox = _SBOX
+    for i in range(4, 44):
+        temp = words[i - 1]
+        if i % 4 == 0:
+            # RotWord, SubWord and Rcon.
+            temp = (
+                (sbox[(temp >> 16) & 0xFF] << 24) | (sbox[(temp >> 8) & 0xFF] << 16)
+                | (sbox[temp & 0xFF] << 8) | sbox[temp >> 24]
+            ) ^ (_RCON[i // 4 - 1] << 24)
+        words.append(words[i - 4] ^ temp)
+    dec = list(words[40:44])
+    for rnd in range(9, 0, -1):
+        for w in words[4 * rnd : 4 * rnd + 4]:
+            # Td[S[b]] is InvMixColumns of byte b in its row position.
+            dec.append(
+                _TD0[sbox[w >> 24]] ^ _TD1[sbox[(w >> 16) & 0xFF]]
+                ^ _TD2[sbox[(w >> 8) & 0xFF]] ^ _TD3[sbox[w & 0xFF]]
+            )
+    dec.extend(words[0:4])
+    return tuple(words), tuple(dec)
 
 
 class AES128:
@@ -76,8 +139,8 @@ class AES128:
     Parameters
     ----------
     key:
-        A 16-byte key.  The key schedule is expanded eagerly at construction
-        time so that repeated block operations are as cheap as possible.
+        A 16-byte key.  Its round-key schedules are expanded once per
+        distinct key and shared by every cipher built for that key.
 
     Examples
     --------
@@ -97,144 +160,72 @@ class AES128:
                 "AES128 requires a 16-byte key, got %d bytes" % len(key)
             )
         self._key = bytes(key)
-        self._round_keys = self._expand_key(self._key)
+        self._enc_keys, self._dec_keys = _schedules(self._key)
 
     @property
     def key(self) -> bytes:
         """The raw 16-byte key this cipher was constructed with."""
         return self._key
 
-    # ------------------------------------------------------------------
-    # Key schedule
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _expand_key(key: bytes) -> List[List[int]]:
-        """Expand the key into 11 round keys of 16 bytes each."""
-        words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
-        for i in range(4, 4 * (AES128.NUM_ROUNDS + 1)):
-            temp = list(words[i - 1])
-            if i % 4 == 0:
-                # RotWord followed by SubWord and Rcon.
-                temp = temp[1:] + temp[:1]
-                temp = [_SBOX[b] for b in temp]
-                temp[0] ^= _RCON[i // 4 - 1]
-            words.append([words[i - 4][j] ^ temp[j] for j in range(4)])
-        round_keys = []
-        for r in range(AES128.NUM_ROUNDS + 1):
-            rk: List[int] = []
-            for w in words[4 * r : 4 * r + 4]:
-                rk.extend(w)
-            round_keys.append(rk)
-        return round_keys
-
-    # ------------------------------------------------------------------
-    # Round transformations (operating on a 16-element state list,
-    # column-major as in FIPS-197).
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _add_round_key(state: List[int], round_key: Sequence[int]) -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
-
-    @staticmethod
-    def _sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = _SBOX[state[i]]
-
-    @staticmethod
-    def _inv_sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = _INV_SBOX[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> None:
-        # State is column-major: state[r + 4*c].
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[r:] + row[:r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[-r:] + row[:-r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = (
-                _gf_mul(col[0], 2) ^ _gf_mul(col[1], 3) ^ col[2] ^ col[3]
-            )
-            state[4 * c + 1] = (
-                col[0] ^ _gf_mul(col[1], 2) ^ _gf_mul(col[2], 3) ^ col[3]
-            )
-            state[4 * c + 2] = (
-                col[0] ^ col[1] ^ _gf_mul(col[2], 2) ^ _gf_mul(col[3], 3)
-            )
-            state[4 * c + 3] = (
-                _gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ _gf_mul(col[3], 2)
-            )
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = (
-                _gf_mul(col[0], 14) ^ _gf_mul(col[1], 11)
-                ^ _gf_mul(col[2], 13) ^ _gf_mul(col[3], 9)
-            )
-            state[4 * c + 1] = (
-                _gf_mul(col[0], 9) ^ _gf_mul(col[1], 14)
-                ^ _gf_mul(col[2], 11) ^ _gf_mul(col[3], 13)
-            )
-            state[4 * c + 2] = (
-                _gf_mul(col[0], 13) ^ _gf_mul(col[1], 9)
-                ^ _gf_mul(col[2], 14) ^ _gf_mul(col[3], 11)
-            )
-            state[4 * c + 3] = (
-                _gf_mul(col[0], 11) ^ _gf_mul(col[1], 13)
-                ^ _gf_mul(col[2], 9) ^ _gf_mul(col[3], 14)
-            )
-
-    # ------------------------------------------------------------------
-    # Public block API
-    # ------------------------------------------------------------------
     def encrypt_block(self, plaintext: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""
         if len(plaintext) != self.BLOCK_SIZE:
             raise ValueError("plaintext block must be 16 bytes")
-        state = list(plaintext)
-        self._add_round_key(state, self._round_keys[0])
-        for rnd in range(1, self.NUM_ROUNDS):
-            self._sub_bytes(state)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[rnd])
-        self._sub_bytes(state)
-        self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self.NUM_ROUNDS])
-        return bytes(state)
+        rk = self._enc_keys
+        t0, t1, t2, t3 = _TE0, _TE1, _TE2, _TE3
+        s0, s1, s2, s3 = _BLOCK.unpack(plaintext)
+        s0 ^= rk[0]
+        s1 ^= rk[1]
+        s2 ^= rk[2]
+        s3 ^= rk[3]
+        for i in range(4, 40, 4):
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ rk[i],
+                t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ rk[i + 1],
+                t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ rk[i + 2],
+                t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ rk[i + 3],
+            )
+        s = _SBOX
+        return _BLOCK.pack(
+            ((s[s0 >> 24] << 24) | (s[(s1 >> 16) & 0xFF] << 16) | (s[(s2 >> 8) & 0xFF] << 8) | s[s3 & 0xFF])
+            ^ rk[40],
+            ((s[s1 >> 24] << 24) | (s[(s2 >> 16) & 0xFF] << 16) | (s[(s3 >> 8) & 0xFF] << 8) | s[s0 & 0xFF])
+            ^ rk[41],
+            ((s[s2 >> 24] << 24) | (s[(s3 >> 16) & 0xFF] << 16) | (s[(s0 >> 8) & 0xFF] << 8) | s[s1 & 0xFF])
+            ^ rk[42],
+            ((s[s3 >> 24] << 24) | (s[(s0 >> 16) & 0xFF] << 16) | (s[(s1 >> 8) & 0xFF] << 8) | s[s2 & 0xFF])
+            ^ rk[43],
+        )
 
     def decrypt_block(self, ciphertext: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""
         if len(ciphertext) != self.BLOCK_SIZE:
             raise ValueError("ciphertext block must be 16 bytes")
-        state = list(ciphertext)
-        self._add_round_key(state, self._round_keys[self.NUM_ROUNDS])
-        for rnd in range(self.NUM_ROUNDS - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, self._round_keys[rnd])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
+        rk = self._dec_keys
+        t0, t1, t2, t3 = _TD0, _TD1, _TD2, _TD3
+        s0, s1, s2, s3 = _BLOCK.unpack(ciphertext)
+        s0 ^= rk[0]
+        s1 ^= rk[1]
+        s2 ^= rk[2]
+        s3 ^= rk[3]
+        for i in range(4, 40, 4):
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ rk[i],
+                t0[s1 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ rk[i + 1],
+                t0[s2 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ rk[i + 2],
+                t0[s3 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ rk[i + 3],
+            )
+        s = _INV_SBOX
+        return _BLOCK.pack(
+            ((s[s0 >> 24] << 24) | (s[(s3 >> 16) & 0xFF] << 16) | (s[(s2 >> 8) & 0xFF] << 8) | s[s1 & 0xFF])
+            ^ rk[40],
+            ((s[s1 >> 24] << 24) | (s[(s0 >> 16) & 0xFF] << 16) | (s[(s3 >> 8) & 0xFF] << 8) | s[s2 & 0xFF])
+            ^ rk[41],
+            ((s[s2 >> 24] << 24) | (s[(s1 >> 16) & 0xFF] << 16) | (s[(s0 >> 8) & 0xFF] << 8) | s[s3 & 0xFF])
+            ^ rk[42],
+            ((s[s3 >> 24] << 24) | (s[(s2 >> 16) & 0xFF] << 16) | (s[(s1 >> 8) & 0xFF] << 8) | s[s0 & 0xFF])
+            ^ rk[43],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "AES128(key=%s...)" % self._key[:4].hex()

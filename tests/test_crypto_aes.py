@@ -11,6 +11,15 @@ FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 FIPS_CIPHERTEXT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 
+# NIST SP 800-38A F.1.1 / F.1.2 (ECB-AES128).
+SP800_38A_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+SP800_38A_ECB = [
+    ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97"),
+    ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf"),
+    ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688"),
+    ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4"),
+]
+
 
 class TestAes128Vectors:
     def test_fips197_encrypt_vector(self):
@@ -20,6 +29,16 @@ class TestAes128Vectors:
     def test_fips197_decrypt_vector(self):
         cipher = AES128(FIPS_KEY)
         assert cipher.decrypt_block(FIPS_CIPHERTEXT) == FIPS_PLAINTEXT
+
+    @pytest.mark.parametrize("plaintext,ciphertext", SP800_38A_ECB)
+    def test_sp800_38a_ecb_encrypt(self, plaintext, ciphertext):
+        cipher = AES128(SP800_38A_KEY)
+        assert cipher.encrypt_block(bytes.fromhex(plaintext)).hex() == ciphertext
+
+    @pytest.mark.parametrize("plaintext,ciphertext", SP800_38A_ECB)
+    def test_sp800_38a_ecb_decrypt(self, plaintext, ciphertext):
+        cipher = AES128(SP800_38A_KEY)
+        assert cipher.decrypt_block(bytes.fromhex(ciphertext)).hex() == plaintext
 
     def test_all_zero_key_and_block(self):
         cipher = AES128(bytes(16))
@@ -53,6 +72,23 @@ class TestAes128Interface:
         ct1 = AES128(bytes(16)).encrypt_block(block)
         ct2 = AES128(bytes([1] * 16)).encrypt_block(block)
         assert ct1 != ct2
+
+    def test_bytearray_key(self):
+        key = bytearray(FIPS_KEY)
+        cipher = AES128(key)
+        key[0] ^= 0xFF  # the cipher keeps its own copy of the key
+        assert cipher.key == FIPS_KEY
+        assert cipher.encrypt_block(FIPS_PLAINTEXT) == FIPS_CIPHERTEXT
+        assert cipher.decrypt_block(FIPS_CIPHERTEXT) == FIPS_PLAINTEXT
+
+    def test_back_to_back_keys_do_not_share_a_schedule(self):
+        first = AES128(FIPS_KEY)
+        second = AES128(SP800_38A_KEY)
+        plaintext, ciphertext = SP800_38A_ECB[0]
+        assert first.encrypt_block(FIPS_PLAINTEXT) == FIPS_CIPHERTEXT
+        assert second.encrypt_block(bytes.fromhex(plaintext)).hex() == ciphertext
+        assert first.decrypt_block(FIPS_CIPHERTEXT) == FIPS_PLAINTEXT
+        assert second.decrypt_block(bytes.fromhex(ciphertext)).hex() == plaintext
 
     def test_encryption_is_deterministic(self):
         cipher = AES128(FIPS_KEY)

@@ -1,15 +1,41 @@
 """Tests for the attestation key-exchange substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.keyexchange import (
+    DH_GENERATOR,
+    DH_PRIME,
     AttestationError,
     Certificate,
     CertificateAuthority,
     EndorsementKeyPair,
     KeyExchangeParticipant,
+    _generator_pow,
     authenticated_key_exchange,
 )
+
+
+class TestFixedBaseExponentiation:
+    @pytest.mark.parametrize("exponent", [
+        0, 1, 63, 64, DH_PRIME - 3,
+        2 ** 1536 - 1,  # every radix-64 digit is 63
+    ])
+    def test_matches_builtin_pow(self, exponent):
+        assert _generator_pow(exponent) == pow(DH_GENERATOR, exponent, DH_PRIME)
+
+    @given(exponent=st.integers(min_value=0, max_value=DH_PRIME))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_builtin_pow_on_drawn_exponents(self, exponent):
+        assert _generator_pow(exponent) == pow(DH_GENERATOR, exponent, DH_PRIME)
+
+    def test_public_values_match_their_secrets(self):
+        pair = EndorsementKeyPair.generate()
+        assert pair.public == pow(DH_GENERATOR, pair.secret, DH_PRIME)
+        participant = KeyExchangeParticipant("mc")
+        message = participant.start()
+        assert message.dh_public == pow(DH_GENERATOR, participant._dh_secret, DH_PRIME)
 
 
 class TestEndorsementKeys:

@@ -5,6 +5,7 @@ the figure registry are the single sources of truth; these tests keep the
 README and the ``docs/`` pages from drifting away from them.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -21,6 +22,12 @@ ARCHITECTURE = DOCS_DIR / "architecture.md"
 ENGINES_DOC = DOCS_DIR / "engines.md"
 BENCHMARKING_DOC = DOCS_DIR / "benchmarking.md"
 OBSERVABILITY_DOC = DOCS_DIR / "observability.md"
+SOURCE_DIR = REPO_ROOT / "src" / "repro"
+
+#: A ``.md`` path as docstrings name it: ``docs/architecture.md``, ``README.md``.
+MD_PATH = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)*[\w-]+\.md)\b")
+#: Markdown files the code writes into artifact directories, not repository docs.
+GENERATED_MD = {"REPORT.md", "BENCH_REPORT.md"}
 
 #: Figure-guide sections look like ``### `fig6` — ...``.
 GUIDE_HEADING = re.compile(r"^### `([a-z0-9_]+)`", re.MULTILINE)
@@ -170,3 +177,26 @@ class TestPackageDocstrings:
     def test_every_subpackage_has_a_docstring(self, module):
         imported = __import__(module, fromlist=["__doc__"])
         assert imported.__doc__ and len(imported.__doc__.strip()) > 40
+
+
+def _docstrings(path):
+    """Every module, class and function docstring of one source file."""
+    tree = ast.parse(path.read_text())
+    nodes = [tree] + [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return [doc for doc in map(ast.get_docstring, nodes) if doc]
+
+
+class TestDocstringReferences:
+    def test_every_named_markdown_file_exists(self):
+        dangling = set()
+        for path in sorted(SOURCE_DIR.rglob("*.py")):
+            for doc in _docstrings(path):
+                for name in MD_PATH.findall(doc):
+                    if name.rsplit("/", 1)[-1] in GENERATED_MD:
+                        continue
+                    if not (REPO_ROOT / name).is_file():
+                        dangling.add("%s: %s" % (path.relative_to(REPO_ROOT), name))
+        assert not dangling, "docstrings name missing files: %s" % sorted(dangling)
