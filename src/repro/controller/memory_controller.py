@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 from repro.controller.queues import RequestQueue
 from repro.controller.scheduler import FRFCFSScheduler
-from repro.dram.address_mapping import AddressMapping
+from repro.dram.address_mapping import AddressMapping, DecodedAddress
 from repro.dram.channel import Channel
 from repro.dram.commands import MemoryRequest, MetadataKind, RequestType
 from repro.dram.timing import DDRTimingParameters, DDR4_3200
@@ -47,6 +47,18 @@ class ControllerConfig:
     #: on-DIMM MAC verification); zero for SecDDR.
     memory_side_read_latency: int = 0
     memory_side_write_latency: int = 0
+
+    def __post_init__(self) -> None:
+        # The batch engine's write queue is unbounded, so any setting that
+        # lets the reference queue overflow would make the engines diverge:
+        # a high watermark above capacity, or a drain that stops at capacity.
+        low, high = self.write_drain_low_watermark, self.write_drain_high_watermark
+        entries = self.write_queue_entries
+        if not (0 <= low <= high <= entries and low < entries):
+            raise ValueError(
+                "write-drain watermarks need 0 <= low (%d) <= high (%d) <= "
+                "write_queue_entries (%d), with low below capacity" % (low, high, entries)
+            )
 
 
 @dataclass
@@ -99,24 +111,40 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _serve_on_channel(self, request: MemoryRequest, earliest_cycle: int) -> int:
+    def _serve_on_channel(
+        self,
+        request: MemoryRequest,
+        earliest_cycle: int,
+        decoded: Optional[DecodedAddress] = None,
+    ) -> int:
         """Issue ``request`` on the channel; returns its completion cycle."""
-        decoded = self.mapping.decode(request.address)
+        if decoded is None:
+            decoded = self.mapping.decode(request.address)
         result = self.channel.access(decoded, request.is_read, earliest_cycle)
         request.completion_cycle = result.completion_cycle
         return result.completion_cycle
 
     def _drain_writes(self, cycle: int, target_occupancy: int) -> int:
-        """Drain queued writes down to ``target_occupancy`` using FR-FCFS."""
+        """Drain queued writes down to ``target_occupancy`` using FR-FCFS.
+
+        Each queued write is decoded once; the decode serves both its
+        FR-FCFS key (:meth:`FRFCFSScheduler.priority`) and its channel
+        access.  One sort by that key is the full service order (see
+        :meth:`FRFCFSScheduler.order`), so a drain is linear in the queue
+        length apart from the sort.
+        """
         if self.write_queue.occupancy <= target_occupancy:
             return cycle
         self.stats.write_drains += 1
         batch_size = self.write_queue.occupancy - target_occupancy
-        ordered = self.scheduler.order(self.channel, self.write_queue.peek_all())
+        decode, priority, channel = self.mapping.decode, self.scheduler.priority, self.channel
+        queued = [(request, decode(request.address)) for request in self.write_queue]
+        queued.sort(key=lambda entry: priority(channel, entry[0], entry[1]))
+        served = queued[:batch_size]
+        self.write_queue.remove_all(request for request, _ in served)
         last_completion = cycle
-        for request in ordered[:batch_size]:
-            self.write_queue.remove(request)
-            last_completion = self._serve_on_channel(request, max(cycle, request.arrival_cycle))
+        for request, decoded in served:
+            last_completion = self._serve_on_channel(request, max(cycle, request.arrival_cycle), decoded)
             self.stats.writes_served += 1
             if request.metadata_kind is not MetadataKind.DATA:
                 self.stats.metadata_writes += 1

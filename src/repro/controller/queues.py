@@ -65,9 +65,14 @@ class RequestQueue:
             raise IndexError("pop from empty %s" % self.name)
         return self._entries.popleft()
 
-    def remove(self, request: MemoryRequest) -> None:
-        """Remove a specific entry (used by out-of-order FR-FCFS service)."""
-        self._entries.remove(request)
+    def remove_all(self, requests: Iterable[MemoryRequest]) -> None:
+        """Remove specific entries, by identity, in one pass over the queue.
+
+        Used by out-of-order FR-FCFS service: a write drain removes its
+        whole batch at once.
+        """
+        removed = {id(request) for request in requests}
+        self._entries = deque(entry for entry in self._entries if id(entry) not in removed)
 
     def peek_all(self) -> List[MemoryRequest]:
         """A snapshot list of queued entries in arrival order."""

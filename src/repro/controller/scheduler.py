@@ -9,9 +9,9 @@ controller configuration implies.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.dram.address_mapping import AddressMapping
+from repro.dram.address_mapping import AddressMapping, DecodedAddress
 from repro.dram.channel import Channel
 from repro.dram.commands import MemoryRequest
 
@@ -25,50 +25,57 @@ class FRFCFSScheduler:
         self.mapping = mapping
 
     # ------------------------------------------------------------------
-    def is_row_hit(self, channel: Channel, request: MemoryRequest) -> bool:
-        """Whether ``request`` would hit an open row right now."""
-        decoded = self.mapping.decode(request.address)
+    def is_row_hit(
+        self,
+        channel: Channel,
+        request: MemoryRequest,
+        decoded: Optional[DecodedAddress] = None,
+    ) -> bool:
+        """Whether ``request`` would hit an open row right now.
+
+        ``decoded`` is ``request``'s already-decoded address, if the caller
+        has it; otherwise the address is decoded here.
+        """
+        if decoded is None:
+            decoded = self.mapping.decode(request.address)
         bank = channel.rank(decoded.rank).bank(decoded.bank_group, decoded.bank)
         return bank.is_row_open(decoded.row)
+
+    def priority(
+        self,
+        channel: Channel,
+        request: MemoryRequest,
+        decoded: Optional[DecodedAddress] = None,
+    ) -> Tuple[int, int, int]:
+        """FR-FCFS sort key of ``request``: lower is served first.
+
+        Row hits come first; among equals, the oldest (lowest arrival cycle,
+        then lowest request id) wins, which preserves FCFS fairness and
+        avoids starvation in the common case.
+        """
+        hit = self.is_row_hit(channel, request, decoded)
+        return (0 if hit else 1, request.arrival_cycle, request.request_id)
 
     def pick_next(
         self,
         channel: Channel,
         pending: Sequence[MemoryRequest],
     ) -> Optional[MemoryRequest]:
-        """Pick the next request to service from ``pending``.
-
-        Row hits are preferred; among equals, the oldest (lowest arrival
-        cycle, then lowest request id) wins, which preserves FCFS fairness
-        and avoids starvation in the common case.
-        """
-        if not pending:
-            return None
-        best: Optional[MemoryRequest] = None
-        best_key: Optional[tuple] = None
-        for request in pending:
-            hit = self.is_row_hit(channel, request)
-            key = (0 if hit else 1, request.arrival_cycle, request.request_id)
-            if best_key is None or key < best_key:
-                best, best_key = request, key
-        return best
+        """Pick the next request to service from ``pending`` (lowest :meth:`priority`)."""
+        return min(pending, key=lambda request: self.priority(channel, request), default=None)
 
     def order(
         self,
         channel: Channel,
         pending: Iterable[MemoryRequest],
     ) -> List[MemoryRequest]:
-        """Return a full service order for ``pending`` (greedy FR-FCFS).
+        """Return the full FR-FCFS service order for ``pending``.
 
-        The open-row state is only consulted once per pick (the greedy
-        approximation normal hardware schedulers also make); the returned
-        order is what the controller's write-drain loop follows.
+        One sort by :meth:`priority`.  Ordering does not touch the channel,
+        so every request's row-hit status is fixed while the order is built,
+        and request ids are unique, so the keys are distinct.  The sort
+        therefore equals picking :meth:`pick_next` over the remaining
+        requests again and again, in one pass instead of one per request.
+        This is the order the controller's write-drain loop follows.
         """
-        remaining = list(pending)
-        ordered: List[MemoryRequest] = []
-        while remaining:
-            choice = self.pick_next(channel, remaining)
-            assert choice is not None
-            remaining.remove(choice)
-            ordered.append(choice)
-        return ordered
+        return sorted(pending, key=lambda request: self.priority(channel, request))

@@ -113,6 +113,19 @@ class AddressMapping:
         self._column_bits = _log2(columns_per_row)
         self._rank_bits = _log2(ranks)
         self._row_bits = _log2(rows)
+        # Straight-line decode: each field's shift from bit 0 of the byte
+        # address, and its mask (``count - 1``, so a zero-width field is 0).
+        self._bank_group_shift = self._offset_bits + self._channel_bits
+        self._bank_shift = self._bank_group_shift + self._bank_group_bits
+        self._column_shift = self._bank_shift + self._bank_bits
+        self._rank_shift = self._column_shift + self._column_bits
+        self._row_shift = self._rank_shift + self._rank_bits
+        self._channel_mask = channels - 1
+        self._bank_group_mask = bank_groups - 1
+        self._bank_mask = banks_per_group - 1
+        self._column_mask = columns_per_row - 1
+        self._rank_mask = ranks - 1
+        self._row_mask = rows - 1
 
     # ------------------------------------------------------------------
     @property
@@ -151,27 +164,13 @@ class AddressMapping:
         """Decode a physical byte address into DRAM coordinates."""
         if address < 0:
             raise ValueError("address must be non-negative")
-        bits = address >> self._offset_bits
-
-        def take(width: int) -> int:
-            nonlocal bits
-            value = bits & ((1 << width) - 1) if width else 0
-            bits >>= width
-            return value
-
-        channel = take(self._channel_bits)
-        bank_group = take(self._bank_group_bits)
-        bank = take(self._bank_bits)
-        column = take(self._column_bits)
-        rank = take(self._rank_bits)
-        row = take(self._row_bits)
         return DecodedAddress(
-            channel=channel,
-            rank=rank,
-            bank_group=bank_group,
-            bank=bank,
-            row=row,
-            column=column,
+            channel=(address >> self._offset_bits) & self._channel_mask,
+            rank=(address >> self._rank_shift) & self._rank_mask,
+            bank_group=(address >> self._bank_group_shift) & self._bank_group_mask,
+            bank=(address >> self._bank_shift) & self._bank_mask,
+            row=(address >> self._row_shift) & self._row_mask,
+            column=(address >> self._column_shift) & self._column_mask,
         )
 
     def decode_arrays(self, addresses: np.ndarray) -> DecodedArrays:

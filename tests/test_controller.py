@@ -1,11 +1,13 @@
 """Tests for the memory-controller queues, scheduler and front end."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller.memory_controller import ControllerConfig, MemoryController
 from repro.controller.queues import QueueFullError, RequestQueue
 from repro.controller.scheduler import FRFCFSScheduler
-from repro.dram.address_mapping import AddressMapping
+from repro.dram.address_mapping import AddressMapping, DecodedAddress
 from repro.dram.channel import Channel
 from repro.dram.commands import MemoryRequest, RequestType
 from repro.dram.timing import DDR4_3200
@@ -55,10 +57,9 @@ class TestRequestQueue:
 
     def test_remove_specific_entry(self):
         queue = RequestQueue()
-        a, b = _read(0), _read(64)
-        queue.push(a)
-        queue.push(b)
-        queue.remove(a)
+        a, b, c = _read(0), _read(64), _read(128)
+        queue.extend([a, b, c])
+        queue.remove_all([c, a])
         assert queue.peek_all() == [b]
 
     def test_invalid_capacity(self):
@@ -94,10 +95,62 @@ class TestFrfcfsScheduler:
         mapping = AddressMapping()
         channel = Channel(DDR4_3200)
         scheduler = FRFCFSScheduler(mapping)
+        # Same bank, one row each; open the row of the fourth request.
         requests = [_read(i * 0x100000, cycle=i) for i in range(6)]
+        channel.access(mapping.decode(requests[3].address), True, 0)
         ordered = scheduler.order(channel, requests)
-        assert sorted(r.request_id for r in ordered) == sorted(r.request_id for r in requests)
-        assert len(ordered) == 6
+        expected = [requests[3], requests[0], requests[1], requests[2], requests[4], requests[5]]
+        assert [r.request_id for r in ordered] == [r.request_id for r in expected]
+
+
+def _greedy_order(mapping, channel, pending):
+    """The former quadratic ``order()``: pick the FR-FCFS best of what is left, repeatedly."""
+    remaining = list(pending)
+    ordered = []
+    while remaining:
+        best, best_key = None, None
+        for request in remaining:
+            decoded = mapping.decode(request.address)
+            bank = channel.rank(decoded.rank).bank(decoded.bank_group, decoded.bank)
+            key = (0 if bank.is_row_open(decoded.row) else 1, request.arrival_cycle, request.request_id)
+            if best_key is None or key < best_key:
+                best, best_key = request, key
+        remaining.remove(best)
+        ordered.append(best)
+    return ordered
+
+
+#: (rank, bank group, bank, row, column): few banks and rows, so hits and ties are common.
+_COORDINATES = st.tuples(
+    st.integers(0, 1), st.integers(0, 1), st.integers(0, 1), st.integers(0, 3), st.integers(0, 7)
+)
+
+
+class TestOrderMatchesGreedyPicks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pending=st.lists(st.tuples(_COORDINATES, st.integers(0, 3)), max_size=24),
+        open_rows=st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+                                  st.integers(0, 3)),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    def test_single_sort_equals_repeated_pick_next(self, pending, open_rows, shuffle):
+        mapping = AddressMapping()
+        channel = Channel(DDR4_3200)
+        scheduler = FRFCFSScheduler(mapping)
+        for (rank, group, bank), row in open_rows.items():
+            channel.rank(rank).bank(group, bank).open_row = row
+        requests = [
+            _write(mapping.encode(DecodedAddress(0, rank, group, bank, row, column)), cycle=arrival)
+            for (rank, group, bank, row, column), arrival in pending
+        ]
+        # Queue order need not follow request-id order.
+        shuffle.shuffle(requests)
+        ordered = scheduler.order(channel, requests)
+        assert [r.request_id for r in ordered] == [
+            r.request_id for r in _greedy_order(mapping, channel, requests)
+        ]
+        assert scheduler.pick_next(channel, requests) is (ordered[0] if ordered else None)
 
 
 class TestMemoryController:
@@ -133,6 +186,46 @@ class TestMemoryController:
         assert controller.stats.write_drains >= 1
         assert controller.stats.writes_served > 0
         assert controller.write_queue.occupancy <= 8
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"write_drain_high_watermark": 80},
+            {"write_drain_high_watermark": 16, "write_drain_low_watermark": 48},
+            {"write_drain_high_watermark": 64, "write_drain_low_watermark": 64},
+            {"write_drain_low_watermark": -1},
+        ],
+    )
+    def test_invalid_drain_watermarks_rejected(self, overrides):
+        # Out of range, or a drain that lets the bounded reference write
+        # queue overflow where the batch engine's unbounded one keeps going.
+        with pytest.raises(ValueError, match="watermark"):
+            ControllerConfig(**overrides)
+
+    def test_drain_watermarks_at_the_limits_accepted(self):
+        config = ControllerConfig(write_drain_high_watermark=64, write_drain_low_watermark=0)
+        controller = MemoryController(config)
+        for i in range(200):
+            controller.enqueue_write(_write(i * 64, cycle=i))
+        assert controller.write_queue.max_occupancy == 64
+
+    def test_drain_decodes_each_queued_write_once(self, monkeypatch):
+        controller = MemoryController()
+        high = controller.config.write_drain_high_watermark
+        for i in range(high):
+            controller.enqueue_write(_write(i * 0x10040, cycle=i))
+        assert controller.write_queue.occupancy == high
+        calls = []
+        decode = AddressMapping.decode
+
+        def counting_decode(mapping, address):
+            calls.append(address)
+            return decode(mapping, address)
+
+        monkeypatch.setattr(AddressMapping, "decode", counting_decode)
+        controller.flush()
+        assert controller.stats.writes_served == high
+        assert len(calls) <= high
 
     def test_flush_drains_everything(self):
         controller = MemoryController()

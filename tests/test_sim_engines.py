@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.controller.memory_controller import ControllerConfig
 from repro.cpu.trace import MemoryTrace, TraceRecord
 from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.errors import UnknownEngineError
@@ -186,6 +187,18 @@ class TestBatchParity:
         reference = run_simulation("mcf", "secddr_ctr", FAST)
         batch = run_simulation("mcf", "secddr_ctr", FAST, engine="batch")
         assert_identical(reference, batch)
+
+    @pytest.mark.parametrize("configuration", ["secddr_xts", "secddr_ctr", "integrity_tree_64"])
+    def test_parity_across_many_write_drains(self, configuration):
+        # lbm is the most write-heavy registry workload; this trace crosses
+        # the drain watermark many times, exercising FR-FCFS drain order.
+        experiment = ExperimentConfig(num_accesses=1500, num_cores=2)
+        reference = run_simulation("lbm", configuration, experiment, engine="reference")
+        batch = run_simulation("lbm", configuration, experiment, engine="batch")
+        assert_identical(reference, batch)
+        controller = ControllerConfig()
+        drain = controller.write_drain_high_watermark - controller.write_drain_low_watermark
+        assert reference.stat("controller_writes") >= 5 * drain
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(UnknownEngineError):
