@@ -32,7 +32,7 @@ from repro.attacks.results import AttackResult
 from repro.attacks.rowhammer import ReadTamperAttack, RowHammerAttack
 from repro.attacks.write_drop import WriteDropAttack, WriteToReadConversionAttack
 from repro.core.config import SecDDRConfig
-from repro.core.memory_system import FunctionalMemorySystem
+from repro.core.memory_system import provisioned_memory_system
 from repro.errors import AmbiguousConfigurationError, UnknownAttackConfigurationError
 from repro.secure.configs import REGISTRY as CONFIGURATION_REGISTRY
 from repro.secure.configs import SystemConfiguration
@@ -168,10 +168,6 @@ def standard_attacks() -> List[object]:
     ]
 
 
-# Backwards-compatible alias (the factory used to be module-private).
-_standard_attacks = standard_attacks
-
-
 @dataclass
 class AttackCampaign:
     """Runs a set of attacks against a set of functional configurations.
@@ -191,11 +187,16 @@ class AttackCampaign:
         self.configurations = resolve_attack_configurations(self.configurations)
 
     def run(self) -> List[AttackResult]:
-        """Execute every (configuration, attack) pair on a fresh memory system."""
+        """Execute every (configuration, attack) pair on its own memory system.
+
+        Each configuration boots and attests once per process; every attack
+        runs on an independent deep copy of that boot
+        (:func:`~repro.core.memory_system.provisioned_memory_system`).
+        """
         results: List[AttackResult] = []
         for config_name, config in self.configurations.items():
             for attack in self.attack_factory():
-                memory = FunctionalMemorySystem(config=config, initial_counter=0)
+                memory = provisioned_memory_system(config)
                 results.append(attack.run(memory, configuration=config_name))
         return results
 

@@ -18,7 +18,8 @@ cryptographic primitives in :mod:`repro.crypto`:
 * :mod:`repro.core.attestation` -- boot-time attestation and key agreement.
 * :mod:`repro.core.memory_system` -- a complete functional memory system
   (processor engine + bus + DIMM + storage) that the attack framework and
-  the examples drive.
+  the examples drive; campaigns take deep copies of one attested boot per
+  configuration (``provisioned_memory_system``).
 
 The *performance* model of SecDDR lives in :mod:`repro.secure.secddr_model`;
 this package is about demonstrating the security arguments of Section III.
@@ -39,7 +40,7 @@ from repro.core.protocol import (
 from repro.core.processor_engine import ProcessorEngine
 from repro.core.dimm_logic import EccChipLogic, WriteRejected
 from repro.core.attestation import AttestationResult, attest_and_provision
-from repro.core.memory_system import FunctionalMemorySystem, MemoryBus
+from repro.core.memory_system import FunctionalMemorySystem, MemoryBus, provisioned_memory_system
 from repro.core.obfuscation import CommandObfuscator, EncryptedCommand
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "AttestationResult",
     "attest_and_provision",
     "FunctionalMemorySystem",
+    "provisioned_memory_system",
     "MemoryBus",
     "CommandObfuscator",
     "EncryptedCommand",

@@ -10,7 +10,9 @@ paper describes -- observable and testable.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional
 
 from repro.core.attestation import (
@@ -28,7 +30,7 @@ from repro.dram.address_mapping import AddressMapping
 from repro.dram.dimm import DimmTopology
 from repro.dram.storage import DramStorage
 
-__all__ = ["MemoryBus", "FunctionalMemorySystem"]
+__all__ = ["MemoryBus", "FunctionalMemorySystem", "provisioned_memory_system"]
 
 
 class MemoryBus:
@@ -219,3 +221,24 @@ class FunctionalMemorySystem:
             self.processor.counter_for_rank(rank).in_sync_with(chip.counter)
             for rank, chip in self.ecc_chips.items()
         )
+
+
+@lru_cache(maxsize=8)
+def _booted_template(config: SecDDRConfig) -> FunctionalMemorySystem:
+    """The one attested boot of ``config`` in this process, never handed out itself."""
+    return FunctionalMemorySystem(config=config, initial_counter=0)
+
+
+def provisioned_memory_system(config: SecDDRConfig) -> FunctionalMemorySystem:
+    """A freshly booted, attested system for ``config``, booted once per process.
+
+    SecDDR attests each rank and agrees on ``Kt`` once per power-up, so a
+    campaign that runs many independent scenarios against one configuration
+    boots it once and runs every scenario on a deep copy of that boot.  Each
+    copy has its own storage, counters, bus, stats and CA revocation list
+    (the ECC chips still share the copy's storage), so nothing one scenario
+    does is visible to the next.  The copies share the boot's keys, which no
+    scenario can observe.  Direct construction and
+    :meth:`FunctionalMemorySystem.reattest` still run the full key exchange.
+    """
+    return copy.deepcopy(_booted_template(config))

@@ -235,10 +235,19 @@ class KeyExchangeParticipant:
         return KeyExchangeMessage(sender=self.name, dh_public=public, signature=signature)
 
     def finish(self, peer_message: KeyExchangeMessage) -> bytes:
-        """Derive the 16-byte shared transaction key ``Kt``."""
+        """Derive the 16-byte shared transaction key ``Kt``.
+
+        The peer's share must lie in ``[2, p - 2]`` (the range check of
+        SP 800-56A partial public-key validation): 0, 1 and ``p - 1`` force
+        the shared secret into {0, 1, p - 1}, and a value of ``p`` or more
+        is a second encoding of a share below ``p``.
+        """
         if self._dh_secret == 0:
             raise AttestationError("start() must be called before finish()")
-        shared = pow(peer_message.dh_public, self._dh_secret, DH_PRIME)
+        peer = peer_message.dh_public
+        if not 2 <= peer <= DH_PRIME - 2:
+            raise AttestationError("peer key-exchange share is outside [2, p - 2]")
+        shared = pow(peer, self._dh_secret, DH_PRIME)
         return _hash_int(shared)[:16]
 
 

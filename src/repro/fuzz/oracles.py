@@ -1,7 +1,8 @@
 """Security oracles: execute one scenario and judge the outcome.
 
 :func:`run_scenario` replays a scenario's victim schedule against a fresh
-:class:`~repro.core.memory_system.FunctionalMemorySystem` with the compiled
+:class:`~repro.core.memory_system.FunctionalMemorySystem` (an independent
+copy of the configuration's one attested boot per process) with the compiled
 :class:`~repro.fuzz.adversary.TamperAdversary` on the bus, maintaining a
 **golden shadow memory** (address -> last written plaintext).  Three
 properties are checked on every step:
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.core.config import SecDDRConfig
-from repro.core.memory_system import FunctionalMemorySystem
+from repro.core.memory_system import FunctionalMemorySystem, provisioned_memory_system
 from repro.core.protocol import IntegrityViolation
 from repro.fuzz.actions import expected_detected
 from repro.fuzz.adversary import TamperAdversary
@@ -139,7 +140,7 @@ def run_scenario(
     configuration: str = "secddr",
 ) -> ScenarioResult:
     """Execute ``scenario`` against ``functional_config`` and judge it."""
-    memory = FunctionalMemorySystem(config=functional_config, initial_counter=0)
+    memory = provisioned_memory_system(functional_config)
     adversary = TamperAdversary(scenario.actions, memory.mapping)
     memory.attach_adversary(adversary)
     state = _Execution()

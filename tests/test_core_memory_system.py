@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FunctionalMemorySystem, IntegrityViolation, SecDDRConfig
+from repro.core import FunctionalMemorySystem, IntegrityViolation, SecDDRConfig, provisioned_memory_system
+from repro.core import memory_system
 
 
 class TestNormalOperation:
@@ -117,3 +118,84 @@ class TestErrorPaths:
             secddr_memory.read(0x4000)
         secddr_memory.detach_adversary()
         assert secddr_memory.stats.dropped_reads == 1
+
+
+class TestProvisionedMemorySystem:
+    """One attested boot per configuration, deep-copied for every caller."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        memory_system._booted_template.cache_clear()
+        yield
+        memory_system._booted_template.cache_clear()
+
+    def test_copies_are_independent_of_each_other_and_the_template(self, sample_line):
+        config = SecDDRConfig()
+        template = memory_system._booted_template(config)
+        booted = {rank: chip.counter.snapshot() for rank, chip in template.ecc_chips.items()}
+
+        first = provisioned_memory_system(config)
+        first.attach_adversary(object())
+        first.write(0x4000, sample_line)
+        assert first.read(0x4000) == sample_line
+        assert {rank: chip.counter.snapshot() for rank, chip in first.ecc_chips.items()} != booted
+
+        second = provisioned_memory_system(config)
+        for other in (second, template):
+            assert other.storage.occupied_lines() == 0
+            assert other.bus.adversary is None
+            assert other.bus.writes_observed == other.bus.reads_observed == 0
+            assert other.stats.writes == other.stats.reads == 0
+            assert {rank: chip.counter.snapshot() for rank, chip in other.ecc_chips.items()} == booted
+            assert other.counters_in_sync()
+        with pytest.raises(IntegrityViolation):
+            second.read(0x4000)
+        second.write(0x4000, sample_line)
+        assert second.read(0x4000) == sample_line
+
+    def test_ecc_chips_share_the_copys_own_storage(self):
+        memory = provisioned_memory_system(SecDDRConfig())
+        template = memory_system._booted_template(SecDDRConfig())
+        for chip in memory.ecc_chips.values():
+            assert chip.storage is memory.storage
+        assert memory.storage is not template.storage
+
+    def test_revocation_on_a_copy_stays_in_that_copy(self):
+        memory = provisioned_memory_system(SecDDRConfig())
+        certificate = memory.identities[0].certificate
+        memory.certificate_authority.revoke(certificate.subject)
+        assert not memory.certificate_authority.verify(certificate)
+        assert provisioned_memory_system(SecDDRConfig()).certificate_authority.verify(certificate)
+
+    def test_attests_once_per_configuration(self, monkeypatch):
+        calls = []
+        real = memory_system.attest_and_provision
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(memory_system, "attest_and_provision", counting)
+        for _ in range(3):
+            provisioned_memory_system(SecDDRConfig())
+            provisioned_memory_system(SecDDRConfig(ewcrc_enabled=False))
+        assert len(calls) == 2
+        memory_system._booted_template.cache_clear()
+        provisioned_memory_system(SecDDRConfig())
+        assert len(calls) == 3
+
+    def test_direct_construction_still_runs_a_fresh_key_exchange(self):
+        first = FunctionalMemorySystem(initial_counter=0)
+        second = FunctionalMemorySystem(initial_counter=0)
+        assert first.attestation.transaction_keys != second.attestation.transaction_keys
+
+    def test_reattest_on_a_copy_leaves_the_template_keys(self, sample_line):
+        memory = provisioned_memory_system(SecDDRConfig())
+        template = memory_system._booted_template(SecDDRConfig())
+        booted_keys = dict(template.attestation.transaction_keys)
+        assert memory.attestation.transaction_keys == booted_keys
+        memory.reattest(clear_memory=True, initial_counter=0)
+        assert memory.attestation.transaction_keys != booted_keys
+        assert template.attestation.transaction_keys == booted_keys
+        memory.write(0x4000, sample_line)
+        assert memory.read(0x4000) == sample_line

@@ -11,6 +11,7 @@ from repro.crypto.keyexchange import (
     Certificate,
     CertificateAuthority,
     EndorsementKeyPair,
+    KeyExchangeMessage,
     KeyExchangeParticipant,
     _generator_pow,
     authenticated_key_exchange,
@@ -123,3 +124,22 @@ class TestKeyExchange:
         message = dimm.start()
         with pytest.raises(AttestationError):
             processor.finish(message)
+
+
+class TestPeerShareValidation:
+    """``finish()`` accepts only peer shares in ``[2, p - 2]``."""
+
+    @pytest.mark.parametrize("share", [0, 1, DH_PRIME - 1, DH_PRIME, DH_PRIME + 5])
+    def test_degenerate_or_non_canonical_share_rejected(self, share):
+        processor = KeyExchangeParticipant(name="processor")
+        processor.start()
+        with pytest.raises(AttestationError):
+            processor.finish(KeyExchangeMessage(sender="rank0", dh_public=share))
+
+    def test_genuine_share_accepted(self):
+        processor = KeyExchangeParticipant(name="processor")
+        dimm = KeyExchangeParticipant(name="rank0")
+        processor_msg = processor.start()
+        dimm_msg = dimm.start()
+        assert 2 <= dimm_msg.dh_public <= DH_PRIME - 2
+        assert processor.finish(dimm_msg) == dimm.finish(processor_msg)

@@ -12,7 +12,10 @@ import random
 
 import pytest
 
+import repro.attacks.campaign as attack_campaign
+import repro.fuzz.oracles as oracles
 from repro.attacks import AttackCampaign, run_standard_campaign
+from repro.core import FunctionalMemorySystem
 from repro.core.config import SecDDRConfig
 from repro.fuzz import (
     TAMPER_ACTIONS,
@@ -174,6 +177,22 @@ class TestCampaignProperties:
             assert [r.outcome for r in parallel.results[name]] == [
                 r.outcome for r in campaign_report.results[name]
             ]
+
+    def test_boot_copies_match_booting_every_scenario(self, monkeypatch):
+        """Deep copies of one boot per configuration change no campaign outcome."""
+        def matrices():
+            attacks = AttackCampaign.format_matrix(run_standard_campaign())
+            fuzz = run_fuzz_campaign(seed=SEED, budget=6, shrink_violations=False)
+            return attacks, fuzz.format_matrix()
+
+        copied = matrices()
+
+        def boot_every_time(config):
+            return FunctionalMemorySystem(config=config, initial_counter=0)
+
+        monkeypatch.setattr(attack_campaign, "provisioned_memory_system", boot_every_time)
+        monkeypatch.setattr(oracles, "provisioned_memory_system", boot_every_time)
+        assert matrices() == copied
 
     def test_warm_cache_executes_nothing(self, tmp_path):
         cold = run_fuzz_campaign(
