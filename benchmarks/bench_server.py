@@ -1,6 +1,6 @@
 """Benchmark: the HTTP experiment service vs direct in-process dispatch.
 
-Thin standalone wrapper over the registered ``server``
+Thin pytest wrapper over the registered ``server``
 :class:`repro.bench.BenchSpec`, which starts a real ``repro.server`` stack
 (ExperimentService + ThreadingHTTPServer on an ephemeral port) and measures
 what the transport costs on top of the work itself:
@@ -14,15 +14,10 @@ what the transport costs on top of the work itself:
   service overhead (HTTP + queue + job store), because neither side
   simulates anything.
 
-The spec also gates the service's headline contract as a metric: the bytes
-served by ``GET /jobs/{id}/result`` equal
+The test asserts the service's headline contract: the bytes served by
+``GET /jobs/{id}/result`` equal
 ``dump_payload(run_comparison(...).to_payload())`` (``result_parity``).
-
-Standalone recorder: ``python benchmarks/bench_server.py --out
-BENCH_<date>.json`` merges the ``server`` entry into the record through the
-file-locked writer (:func:`repro.bench.merge_bench_record`), so a
-concurrent ``bench_engines.py --out`` against the same file cannot clobber
-either entry.
+``repro bench -b server --out DIR [--check]`` records the same entry.
 
 Scale with ``REPRO_BENCH_SERVER_ACCESSES`` (default 400) and
 ``REPRO_BENCH_SERVER_SUBMISSIONS`` (default 50).
@@ -30,43 +25,25 @@ Scale with ``REPRO_BENCH_SERVER_ACCESSES`` (default 400) and
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 
-from repro.bench import BenchContext, get_bench, merge_bench_record
+from repro.bench import BenchContext, get_bench
 
 ACCESSES = int(os.environ.get("REPRO_BENCH_SERVER_ACCESSES") or 400)
 SUBMISSIONS = int(os.environ.get("REPRO_BENCH_SERVER_SUBMISSIONS") or 50)
 ROUNDS = 3
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="merge the \"server\" entry into FILE through the "
-                        "locked BENCH writer (other keys are preserved)")
-    args = parser.parse_args(argv)
-
+def test_server_transport_and_result_parity():
     entry = get_bench("server").measure(BenchContext(
         rounds=ROUNDS,
         server_accesses=ACCESSES,
         server_submissions=SUBMISSIONS,
     ))
-
-    print(json.dumps(entry.to_payload(), indent=2))
-    print("warm e2e %.3fs (+%.3fs transport); %.0f submissions/s; parity %s"
+    print("warm e2e %.3fs (+%.3fs transport); %.0f submissions/s"
           % (entry.metrics["warm_e2e_seconds"],
              entry.metrics["transport_overhead_seconds"],
-             entry.metrics["submissions_per_second"],
-             "byte-identical" if entry.metrics["result_parity"] == 1.0 else "BROKEN"))
-
-    if args.out:
-        merge_bench_record(args.out, {"server": entry.to_payload()})
-        print("merged \"server\" into %s" % args.out)
-    return 1 if entry.metrics["result_parity"] != 1.0 else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+             entry.metrics["submissions_per_second"]))
+    assert entry.metrics["result_parity"] == 1.0, (
+        "HTTP result bytes differ from the in-process comparison"
+    )

@@ -500,7 +500,7 @@ class Session:
         return self.baseline
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return "Session(jobs=%d, cache=%s, configs=%d, workloads=%d)" % (
+        return "Session(jobs=%d, cache=%s, configurations=%d, workloads=%d)" % (
             self.jobs,
             getattr(self.cache, "directory", None),
             len(self._configs),

@@ -1,12 +1,10 @@
 """On-disk ``BENCH_<date>.json`` records: one locked writer, stable keys.
 
-``benchmarks/bench_engines.py`` and ``bench_server.py`` used to hand-roll
-their own read-modify-write merging into the day's record, which loses keys
-when two CI jobs write concurrently (both read the same "before" state, last
-writer wins).  :func:`merge_bench_record` is the single writer now: it takes
-an exclusive lock on ``<path>.lock`` for the whole read-merge-write cycle
-and replaces the file atomically, so concurrent writers serialize and every
-key survives.
+:func:`merge_bench_record` is the single writer: it takes an exclusive lock
+on ``<path>.lock`` for the whole read-merge-write cycle and replaces the
+file atomically, so concurrent writers serialize and every key survives
+(an unlocked read-modify-write would let the last writer drop the other's
+keys).
 
 Record layout (``RECORD_SCHEMA_VERSION``)::
 
@@ -135,50 +133,18 @@ def _empty_record() -> Dict[str, object]:
 
 
 def load_record(path: Union[str, Path]) -> Dict[str, object]:
-    """Parse a record, upgrading pre-registry layouts to the current schema.
+    """Parse a record; a payload without a ``"benches"`` map is rejected.
 
-    Records written before the bench registry existed put the engine
-    measurement at the top level and nested the server record under
-    ``"server"``; fold both under ``benches`` so old baselines stay
-    comparable.
+    Raises :class:`ValueError` for anything that is not a schema-1 record
+    (``json.JSONDecodeError`` is a ``ValueError`` too).
     """
     payload = json.loads(Path(path).read_text())
-    if "benches" in payload:
-        payload.setdefault("schema", RECORD_SCHEMA_VERSION)
-        payload.setdefault("profile", "custom")
-        payload.setdefault("environment", {})
-        return payload
-    upgraded = _empty_record()
-    upgraded["environment"] = {
-        "python": payload.get("python"),
-        "machine": payload.get("machine"),
-    }
-    if "engines" in payload:
-        engines = payload["engines"]
-        upgraded["benches"]["engines"] = {
-            "scenario": payload.get("scenario", {}),
-            "metrics": {
-                "reference_accesses_per_second":
-                    engines["reference"]["accesses_per_second"],
-                "batch_accesses_per_second":
-                    engines["batch"]["accesses_per_second"],
-                "speedup": payload.get("speedup", 0.0),
-                "parity_exact": 1.0 if payload.get("parity") == "exact" else 0.0,
-            },
-        }
-    if "server" in payload:
-        server = payload["server"]
-        upgraded["benches"]["server"] = {
-            "scenario": server.get("scenario", {}),
-            "metrics": {
-                "submissions_per_second": server["submissions_per_second"],
-                "warm_e2e_seconds": server["warm_e2e_seconds"],
-                "transport_overhead_seconds": server["transport_overhead_seconds"],
-                "result_parity":
-                    1.0 if server.get("result_parity") == "byte-identical" else 0.0,
-            },
-        }
-    return upgraded
+    if not isinstance(payload, dict) or "benches" not in payload:
+        raise ValueError("%s is not a bench record (no \"benches\" map)" % path)
+    payload.setdefault("schema", RECORD_SCHEMA_VERSION)
+    payload.setdefault("profile", "custom")
+    payload.setdefault("environment", {})
+    return payload
 
 
 def merge_bench_record(
@@ -205,7 +171,7 @@ def merge_bench_record(
         if path.exists():
             try:
                 record = load_record(path)
-            except (ValueError, KeyError):
+            except ValueError:
                 record = _empty_record()
         else:
             record = _empty_record()

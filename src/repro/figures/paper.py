@@ -216,14 +216,16 @@ def _fig6_build(ctx: FigureContext) -> FigureArtifact:
 # Figure 7: metadata-cache behaviour under the tree.
 def _fig7_jobs(ctx: FigureContext) -> List[SimulationJob]:
     return [
-        SimulationJob(configuration="integrity_tree_64", workload=w, experiment=ctx.experiment)
+        SimulationJob(
+            configuration="integrity_tree_64", workload=w, experiment=ctx.experiment, engine=ctx.engine,
+        )
         for w in ctx.all_workloads()
     ]
 
 
 def _fig7_build(ctx: FigureContext) -> FigureArtifact:
     runner = ParallelRunner(jobs=ctx.jobs, cache=ctx.cache, progress=ctx.progress)
-    matrix = runner.run_matrix(["integrity_tree_64"], ctx.all_workloads(), ctx.experiment)
+    matrix = runner.run_matrix(["integrity_tree_64"], ctx.all_workloads(), ctx.experiment, engine=ctx.engine)
     results = matrix["integrity_tree_64"]
     rows = [
         {
@@ -740,7 +742,6 @@ register_figure(FigureSpec(
     description="Normalized IPC of tree/SecDDR/encrypt-only (CTR and XTS) over every workload.",
     build=_fig6_build,
     jobs=_fig6_jobs,
-    simulated=True,
 ))
 register_figure(FigureSpec(
     key="fig7",
@@ -749,7 +750,6 @@ register_figure(FigureSpec(
     description="Metadata cache miss rate and metadata MPKI under the 64-ary tree.",
     build=_fig7_build,
     jobs=_fig7_jobs,
-    simulated=True,
 ))
 register_figure(FigureSpec(
     key="fig8",
@@ -758,7 +758,6 @@ register_figure(FigureSpec(
     description="Gmean normalized IPC per tree arity and counters-per-line packing.",
     build=_fig8_build,
     jobs=_fig8_jobs,
-    simulated=True,
 ))
 register_figure(FigureSpec(
     key="fig10",
@@ -767,7 +766,6 @@ register_figure(FigureSpec(
     description="SecDDR against unrealistic/realistic InvisiMem variants under AES-XTS.",
     build=_fig10_build,
     jobs=_fig10_jobs,
-    simulated=True,
 ))
 register_figure(FigureSpec(
     key="fig12",
@@ -776,7 +774,6 @@ register_figure(FigureSpec(
     description="SecDDR against unrealistic/realistic InvisiMem variants under CTR encryption.",
     build=_fig12_build,
     jobs=_fig12_jobs,
-    simulated=True,
 ))
 register_figure(FigureSpec(
     key="attacks",
@@ -799,7 +796,6 @@ register_figure(FigureSpec(
     description="Analytic tree-vs-SecDDR scaling from 16 GiB to 1 TiB plus measured gmeans.",
     build=_scalability_build,
     jobs=_scalability_jobs,
-    simulated=True,
 ))
 register_figure(FigureSpec(
     key="ablation_cache",
@@ -808,7 +804,6 @@ register_figure(FigureSpec(
     description="Tree vs SecDDR gmean IPC with 32/128/512 KB metadata caches.",
     build=_ablation_cache_build,
     jobs=_ablation_cache_jobs,
-    simulated=True,
 ))
 register_figure(FigureSpec(
     key="ablation_burst",
@@ -817,5 +812,4 @@ register_figure(FigureSpec(
     description="SecDDR+XTS vs encrypt-only XTS on write-heavy workloads, DDR4 and DDR5.",
     build=_ablation_burst_build,
     jobs=_ablation_burst_jobs,
-    simulated=True,
 ))

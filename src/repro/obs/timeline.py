@@ -25,8 +25,8 @@ Design contracts, all pinned by tests:
   value-for-value for the same job.
 * **Zero overhead when off.**  :func:`current_timeline` returns ``None``
   when no recorder is installed; engines hoist that into a local and the
-  hot loop pays a single ``is not None`` test (gated continuously by
-  ``benchmarks/bench_obs_overhead.py``).
+  hot loop pays a single ``is not None`` test (measured by ``repro bench
+  -b obs``; not yet gated, as the committed baseline has no ``obs`` entry).
 * **Bounded memory.**  Samples buffer as rows and flush into columnar
   numpy chunks (the trace-store layout) every ``chunk_size`` samples;
   events are capped per series at ``max_events`` with a deterministic

@@ -212,7 +212,8 @@ class TestRecordRoundTrip:
         assert path.name.startswith("BENCH_") and path.suffix == ".json"
 
     def test_legacy_record_layout_upgrades(self, tmp_path):
-        """Pre-registry BENCH files (flat engines + nested server) still load."""
+        """Pre-registry BENCH files (flat engines + nested server) are not
+        upgraded: loading rejects them, and a merge over one starts fresh."""
         path = tmp_path / "BENCH_old.json"
         path.write_text(json.dumps({
             "scenario": {"accesses": 20000},
@@ -231,11 +232,12 @@ class TestRecordRoundTrip:
                 "result_parity": "byte-identical",
             },
         }))
+        with pytest.raises(ValueError, match="benches"):
+            load_record(path)
+        merge_bench_record(path, {"table2": self._payload()})
         record = load_record(path)
-        benches = record["benches"]
-        assert benches["engines"]["metrics"]["speedup"] == 14.0
-        assert benches["engines"]["metrics"]["parity_exact"] == 1.0
-        assert benches["server"]["metrics"]["result_parity"] == 1.0
+        assert record["schema"] == 1
+        assert record["benches"] == {"table2": self._payload()}
 
 
 # ---------------------------------------------------------------------------

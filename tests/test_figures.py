@@ -24,6 +24,7 @@ from repro.figures import (
 from repro.figures.report import write_figure_csv, write_figure_json
 from repro.cli import main
 from repro.secure.configs import resolve_configuration
+from repro.sim.engines import BatchEngine, ReferenceEngine
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import ResultCache, SimulationJob
 from repro.workloads.registry import REGISTRY as WORKLOAD_REGISTRY
@@ -60,12 +61,14 @@ class TestRegistry:
 class TestJobMatrices:
     @pytest.mark.parametrize("key", EXPECTED_KEYS)
     def test_spec_builds_a_valid_job_matrix(self, key):
-        """Every declared job resolves and has a computable cache key."""
+        """Every declared job resolves, carries the context's engine, and
+        has a computable cache key."""
         spec = get_figure(key)
-        jobs = spec.jobs(tiny_context())
+        jobs = spec.jobs(tiny_context(engine="batch"))
         assert (len(jobs) > 0) == spec.simulated
         for job in jobs:
             assert isinstance(job, SimulationJob)
+            assert job.engine == "batch"
             resolve_configuration(job.configuration)
             if isinstance(job.workload, str):
                 WORKLOAD_REGISTRY[job.workload]
@@ -120,6 +123,24 @@ class TestPipeline:
         assert second.unique_jobs == first.unique_jobs
         assert second.simulated_jobs == 0
         assert second.artifacts[0].rows == first.artifacts[0].rows
+
+    def test_engine_choice_reaches_every_fig7_simulation(self, tmp_path, monkeypatch):
+        calls = {"reference": 0, "batch": 0}
+
+        def counting(name, simulate):
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return simulate(self, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ReferenceEngine, "simulate", counting("reference", ReferenceEngine.simulate))
+        monkeypatch.setattr(BatchEngine, "simulate", counting("batch", BatchEngine.simulate))
+        report = reproduce(
+            figures=["fig7"], experiment=TINY, workload_filter=TINY_WORKLOADS,
+            cache=ResultCache(tmp_path / "cache"), engine="batch",
+        )
+        assert calls == {"reference": 0, "batch": report.unique_jobs}
+        assert report.unique_jobs > 0
 
     def test_fig8_parallel_equals_serial(self, tmp_path):
         serial = reproduce(

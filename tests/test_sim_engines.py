@@ -206,33 +206,9 @@ class TestBatchParity:
 
 
 class TestDeprecatedSpellings:
-    def test_configs_alias_still_works_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="configs"):
-            comparison = run_comparison(
-                configs=["secddr_ctr"], workloads=["gcc"], experiment=FAST
-            )
-        assert "secddr_ctr" in comparison.configurations
-
-    def test_configs_alias_conflicts_with_canonical_keyword(self):
-        with pytest.raises(TypeError):
-            run_comparison(
-                configs=["secddr_ctr"],
-                configurations=["secddr_ctr"],
-                workloads=["gcc"],
-                experiment=FAST,
-            )
-
     def test_missing_configurations_rejected(self):
         with pytest.raises(TypeError):
             run_comparison(workloads=["gcc"], experiment=FAST)
-
-    def test_comparison_jobs_legacy_positional_order(self):
-        from repro.figures.spec import comparison_jobs
-
-        with pytest.warns(DeprecationWarning, match="comparison_jobs"):
-            legacy = comparison_jobs(["secddr_ctr"], ["gcc"], FAST)
-        canonical = comparison_jobs(["secddr_ctr"], ["gcc"], experiment=FAST)
-        assert [j.cache_key() for j in legacy] == [j.cache_key() for j in canonical]
 
 
 class TestEngineThreading:
