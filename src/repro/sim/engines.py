@@ -17,9 +17,10 @@ figure pipeline and the CLI ``--engine`` flag.
 Parity contract: an engine with ``parity_verified = True`` promises
 bit-identical :class:`~repro.sim.results.SimulationResult` values (IPC,
 cycles, every stats key) for every registered mechanism; the test suite
-enforces this across seeded random traces, and the result cache exploits it
-by sharing cache keys between parity-verified engines.  Engines that are not
-parity-verified get their name folded into the cache key instead.
+enforces this across seeded and Hypothesis-generated traces, and the result
+cache exploits it by sharing cache keys between parity-verified engines.
+Engines that are not parity-verified get their name folded into the cache
+key instead.
 """
 
 from __future__ import annotations
@@ -80,6 +81,15 @@ class Engine:
 
     def simulate(self, trace, spec, experiment):
         raise NotImplementedError
+
+    def model_key(self, spec):
+        """A hashable value equal for specs this engine simulates identically.
+
+        :class:`~repro.sim.runner.ParallelRunner` simulates jobs with an
+        equal workload, experiment and model key once per run and renames
+        the result for the others.  ``None`` (the default) opts out.
+        """
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return "<%s %r>" % (type(self).__name__, self.name)
@@ -259,20 +269,24 @@ class BatchEngine(Engine):
     def simulate(self, trace, spec, experiment):
         return _simulate_batch(trace, spec, experiment)
 
+    def model_key(self, spec):
+        """The spec's batch model (:func:`_batch_model`); None if unsupported."""
+        try:
+            return _batch_model(spec)
+        except BatchEngineUnsupported:
+            return None
+
 
 def _batch_mode(spec, layout, crypto_latency: int):
     """Map a configuration spec onto the batch engine's mode parameters.
 
-    Returns ``(mode, extra_hit, extra_miss, meta_base, meta_per_line, tree)``
-    mirroring how :func:`repro.secure.configs.build_configuration` dispatches
-    on ``spec.mechanism`` / ``spec.encryption``.
+    Returns ``(mode, extra_hit, extra_miss, meta_base, meta_per_line,
+    tree_geometry)`` mirroring how
+    :func:`repro.secure.configs.build_configuration` dispatches on
+    ``spec.mechanism`` / ``spec.encryption``.
     """
     from repro.secure.encryption import EncryptionMode
-    from repro.secure.integrity_tree import (
-        IntegrityTree,
-        TreeGeometry,
-        hash_merkle_tree_geometry,
-    )
+    from repro.secure.integrity_tree import TreeGeometry, hash_merkle_tree_geometry
     from repro.secure.configs import PROTECTED_MEMORY_BYTES
 
     crypto = float(crypto_latency)
@@ -299,28 +313,40 @@ def _batch_mode(spec, layout, crypto_latency: int):
         counters_per_line = spec.counters_per_line
         data_lines = max(1, PROTECTED_MEMORY_BYTES // 64)
         counter_lines = (data_lines + counters_per_line - 1) // counters_per_line
-        tree = IntegrityTree(
-            TreeGeometry.build(spec.tree_arity or 64, counter_lines), layout
-        )
         return (
             _MODE_WALK,
             0.0,
             crypto,
             layout.counter_region_base,
             counters_per_line,
-            tree,
+            TreeGeometry.build(spec.tree_arity or 64, counter_lines),
         )
     if mech == "hash_tree":
         geometry = hash_merkle_tree_geometry(
             PROTECTED_MEMORY_BYTES, arity=spec.tree_arity or 8, macs_per_line=8
         )
-        tree = IntegrityTree(geometry, layout)
         # XTS latency is paid regardless of the MAC-line cache outcome.
-        return (_MODE_WALK, crypto, crypto, layout.mac_region_base, 8, tree)
+        return (_MODE_WALK, crypto, crypto, layout.mac_region_base, 8, geometry)
     raise BatchEngineUnsupported(
         "the batch engine has no vectorized model for mechanism %r; "
         "run it with engine=\"reference\"" % mech
     )
+
+
+def _batch_model(spec):
+    """Everything :func:`_simulate_batch` reads from ``spec`` but its name.
+
+    ``(mode parameters, DDR timing, write-burst override)``, hashable.  The
+    engine consumes exactly this value, so two specs with equal models
+    simulate identically -- :meth:`BatchEngine.model_key` hands it to the
+    runner, which simulates such specs once.  Raises
+    :class:`BatchEngineUnsupported` for mechanisms with no batch model.
+    """
+    from repro.secure.base import MetadataLayout
+    from repro.secure.configs import CRYPTO_LATENCY_CPU_CYCLES
+
+    mode = _batch_mode(spec, MetadataLayout(), CRYPTO_LATENCY_CPU_CYCLES)
+    return mode, spec.timing, spec.write_burst_cycles
 
 
 def _simulate_batch(trace, spec, experiment):
@@ -332,22 +358,19 @@ def _simulate_batch(trace, spec, experiment):
     from repro.cpu.system import SystemConfig
     from repro.dram.address_mapping import AddressMapping
     from repro.secure.base import MetadataLayout
-    from repro.secure.configs import CRYPTO_LATENCY_CPU_CYCLES
+    from repro.secure.integrity_tree import IntegrityTree
     from repro.sim.results import SimulationResult
     from repro.traces.streaming import iter_memory_trace_chunks
 
-    timing = spec.timing
+    mode_params, timing, write_burst_cycles = _batch_model(spec)
+    mode, extra_hit, extra_miss, meta_base, meta_per_line, geometry = mode_params
     controller_config = ControllerConfig(
-        timing=timing, write_burst_cycles=spec.write_burst_cycles
+        timing=timing, write_burst_cycles=write_burst_cycles
     )
     mapping = AddressMapping(
         ranks=controller_config.ranks,
         bank_groups=controller_config.bank_groups,
         banks_per_group=controller_config.banks_per_group,
-    )
-    layout = MetadataLayout()
-    mode, extra_hit, extra_miss, meta_base, meta_per_line, tree = _batch_mode(
-        spec, layout, CRYPTO_LATENCY_CPU_CYCLES
     )
 
     # Metadata-cache geometry (the MetadataCache constructor validates it the
@@ -427,7 +450,9 @@ def _simulate_batch(trace, spec, experiment):
 
     def dec(address):
         # Scalar decode for dynamically generated addresses (prefetch
-        # targets, cache-writeback victims); matches mapping.decode().
+        # targets, tree nodes, cache-writeback victims); matches
+        # mapping.decode().  Returns (flat bank, rank * bank_groups + group,
+        # rank, row) -- the coordinates the channel kernels take.
         bits = address >> off_bits
         bits >>= ch_bits
         group = bits & bg_mask
@@ -437,17 +462,18 @@ def _simulate_batch(trace, spec, experiment):
         bits >>= col_bits
         rank = bits & rk_mask
         bits >>= rk_bits
-        row = bits & row_mask
-        return (rank * num_bg + group) * num_bpg + bank, group, rank, row
+        rg = rank * num_bg + group
+        return rg * num_bpg + bank, rg, rank, bits & row_mask
 
     # Integrity-tree levels: (first-node address, is-root) per level.
     tree_levels = ()
     tree_arity = 1
     leaf_limit = 0
-    if tree is not None:
-        sizes = tree.geometry.level_sizes
-        tree_arity = tree.geometry.arity
-        leaf_limit = tree.geometry.leaf_lines - 1
+    if geometry is not None:
+        tree = IntegrityTree(geometry, MetadataLayout())
+        sizes = geometry.level_sizes
+        tree_arity = geometry.arity
+        leaf_limit = geometry.leaf_lines - 1
         tree_levels = tuple(
             (0, True) if sizes[level - 1] == 1 else (tree.node_address(level, 0), False)
             for level in range(1, len(sizes) + 1)
@@ -459,8 +485,7 @@ def _simulate_batch(trace, spec, experiment):
     b_open = [None] * num_banks
     b_act = [0] * num_banks
     b_pre = [0] * num_banks
-    b_rd = [0] * num_banks
-    b_wr = [0] * num_banks
+    b_col = [0] * num_banks  # earliest read/write command (activate + tRCD)
     r_act_any = [0] * num_ranks
     r_act_g = [0] * (num_ranks * num_bg)
     r_col_any = [0] * num_ranks
@@ -470,7 +495,7 @@ def _simulate_batch(trace, spec, experiment):
     bus_free = 0
     last_refresh = 0
     cur_cycle = 0
-    wq = []  # (address, arrival, seq, flat_bank, bank_group, rank, row)
+    wq = []  # (address, arrival, seq, flat_bank, rank_group, rank, row)
     wq_count = {}
     seq = 0
     reads_served = 0
@@ -481,122 +506,119 @@ def _simulate_batch(trace, spec, experiment):
     demand_writes = 0
     metadata_reads = 0
     metadata_writebacks = 0
-    metadata_accesses = 0
     metadata_hits = 0
-    # set_index -> [tags, dirtys, lru_ways, tag_to_way]
+    # set_index -> (tags, dirtys, lru_ways, tag_to_way)
     cache_sets = {}
 
-    def chan(fb, group, rank, row, is_read, earliest):
-        nonlocal bus_free, last_refresh
-        if earliest - last_refresh >= tREFI:
-            last_refresh = earliest
-            resume = earliest + tRFC
-            for b in range(num_banks):
-                b_open[b] = None
-                if b_act[b] < resume:
-                    b_act[b] = resume
-            cycle = resume
-        else:
-            cycle = earliest
-        rbase = rank * num_bg + group
-        open_row = b_open[fb]
-        if open_row != row:
-            if open_row is not None:
-                pre = b_pre[fb]
-                if cycle > pre:
-                    pre = cycle
-                b_open[fb] = None
-                v = pre + tRP
-                if v > b_act[fb]:
-                    b_act[fb] = v
-                cycle = pre
-            act = cycle
-            v = r_act_any[rank]
-            if v > act:
-                act = v
-            v = r_act_g[rbase]
-            if v > act:
-                act = v
-            hist = r_hist[rank]
-            if len(hist) == 4:
-                v = hist[0] + tFAW
-                if v > act:
-                    act = v
-                del hist[0]
-            v = b_act[fb]
-            if v > act:
-                act = v
-            b_open[fb] = row
-            v = act + tRCD
-            if v > b_rd[fb]:
-                b_rd[fb] = v
-            if v > b_wr[fb]:
-                b_wr[fb] = v
-            v = act + tRAS
-            if v > b_pre[fb]:
-                b_pre[fb] = v
-            v = act + tRC
+    # DRAM channel kernels.  Every max-update below that is a plain store is
+    # provably monotone: the new value is a maximum that already includes
+    # the old one, plus a positive constraint.  ``rg`` is
+    # ``rank * bank_groups + group``.
+    def refresh(earliest):
+        # All-bank refresh: every row closes, no activate before tRFC ends.
+        nonlocal last_refresh
+        last_refresh = earliest
+        resume = earliest + tRFC
+        for b in range(num_banks):
+            b_open[b] = None
+            if b_act[b] < resume:
+                b_act[b] = resume
+        return resume
+
+    def activate(fb, rg, rank, row, cycle):
+        # Precharge the open row (if any), then activate ``row``; returns the
+        # activate cycle.
+        if b_open[fb] is not None:
+            pre = b_pre[fb]
+            if cycle > pre:
+                pre = cycle
+            v = pre + tRP
             if v > b_act[fb]:
                 b_act[fb] = v
-            v = act + tRRD_S
-            if v > r_act_any[rank]:
-                r_act_any[rank] = v
-            v = act + tRRD_L
-            if v > r_act_g[rbase]:
-                r_act_g[rbase] = v
-            hist.append(act)
-            cycle = act
-        if is_read:
-            col = b_rd[fb]
-            if cycle > col:
-                col = cycle
-            v = r_col_any[rank]
-            if v > col:
-                col = v
-            v = r_col_g[rbase]
-            if v > col:
-                col = v
-            v = r_raw[rank]
-            if v > col:
-                col = v
-            delay = tCL
-            burst = burst_read
-        else:
-            col = b_wr[fb]
-            if cycle > col:
-                col = cycle
-            v = r_col_any[rank]
-            if v > col:
-                col = v
-            v = r_col_g[rbase]
-            if v > col:
-                col = v
-            delay = tCWL
-            burst = burst_write
-        if col + delay < bus_free:
-            col = bus_free - delay
-        if is_read:
-            v = col + tRTP
-            if v > b_pre[fb]:
-                b_pre[fb] = v
-        else:
-            v = col + tCWL + burst + tWR
-            if v > b_pre[fb]:
-                b_pre[fb] = v
-            v = col + tCWL + burst + tWTR_L
-            if v > r_raw[rank]:
-                r_raw[rank] = v
-        v = col + tCCD_S
-        if v > r_col_any[rank]:
-            r_col_any[rank] = v
-        v = col + tCCD_L
-        if v > r_col_g[rbase]:
-            r_col_g[rbase] = v
-        data_end = col + delay + burst
-        if data_end > bus_free:
-            bus_free = data_end
-        if is_read:
-            return data_end + ms_read
+            cycle = pre
+        act = cycle
+        v = r_act_any[rank]
+        if v > act:
+            act = v
+        v = r_act_g[rg]
+        if v > act:
+            act = v
+        hist = r_hist[rank]
+        if len(hist) == 4:
+            v = hist[0] + tFAW
+            if v > act:
+                act = v
+            del hist[0]
+        v = b_act[fb]
+        if v > act:
+            act = v
+        hist.append(act)
+        b_open[fb] = row
+        v = act + tRAS
+        if v > b_pre[fb]:
+            b_pre[fb] = v
+        # act >= b_act[fb] (which is >= the previous activate + tRC),
+        # r_act_any[rank] and r_act_g[rg]: these stores only move forward.
+        b_col[fb] = act + tRCD
+        b_act[fb] = act + tRC
+        r_act_any[rank] = act + tRRD_S
+        r_act_g[rg] = act + tRRD_L
+        return act
+
+    def chan_read(fb, rg, rank, row, earliest):
+        nonlocal bus_free
+        cycle = refresh(earliest) if earliest - last_refresh >= tREFI else earliest
+        if b_open[fb] != row:
+            cycle = activate(fb, rg, rank, row, cycle)
+        col = b_col[fb]
+        if cycle > col:
+            col = cycle
+        v = r_col_any[rank]
+        if v > col:
+            col = v
+        v = r_col_g[rg]
+        if v > col:
+            col = v
+        v = r_raw[rank]
+        if v > col:
+            col = v
+        if col + tCL < bus_free:
+            col = bus_free - tCL
+        v = col + tRTP
+        if v > b_pre[fb]:
+            b_pre[fb] = v
+        # col >= r_col_any[rank], r_col_g[rg]; col + tCL >= bus_free.
+        r_col_any[rank] = col + tCCD_S
+        r_col_g[rg] = col + tCCD_L
+        bus_free = data_end = col + tCL + burst_read
+        return data_end + ms_read
+
+    def chan_write(fb, rg, rank, row, earliest):
+        nonlocal bus_free
+        cycle = refresh(earliest) if earliest - last_refresh >= tREFI else earliest
+        if b_open[fb] != row:
+            cycle = activate(fb, rg, rank, row, cycle)
+        col = b_col[fb]
+        if cycle > col:
+            col = cycle
+        v = r_col_any[rank]
+        if v > col:
+            col = v
+        v = r_col_g[rg]
+        if v > col:
+            col = v
+        if col + tCWL < bus_free:
+            col = bus_free - tCWL
+        v = col + tCWL + burst_write + tWR
+        if v > b_pre[fb]:
+            b_pre[fb] = v
+        # col >= r_col_any[rank], r_col_g[rg]; col + tCWL >= bus_free; and
+        # r_raw[rank] came from an earlier write on this rank, whose column
+        # is below r_col_any[rank] <= col (write bursts are all one length).
+        r_raw[rank] = col + tCWL + burst_write + tWTR_L
+        r_col_any[rank] = col + tCCD_S
+        r_col_g[rg] = col + tCCD_L
+        bus_free = data_end = col + tCWL + burst_write
         return data_end + ms_write
 
     def drain(cycle, target):
@@ -606,22 +628,19 @@ def _simulate_batch(trace, spec, experiment):
         batch = len(wq) - target
         # FR-FCFS over a static row-state snapshot == greedy repeated pick:
         # ordering happens before any request in the batch is served.
-        ordered = sorted(
-            wq,
-            key=lambda e: (0 if b_open[e[3]] == e[6] else 1, e[1], e[2]),
-        )
+        ordered = sorted(wq, key=lambda e: (b_open[e[3]] != e[6], e[1], e[2]))
         last = cycle
         served = ordered[:batch]
         for e in served:
             arrival = e[1]
-            last = chan(e[3], e[4], e[5], e[6], False, cycle if cycle >= arrival else arrival)
-            writes_served += 1
+            last = chan_write(e[3], e[4], e[5], e[6], cycle if cycle >= arrival else arrival)
             address = e[0]
             count = wq_count[address] - 1
             if count:
                 wq_count[address] = count
             else:
                 del wq_count[address]
+        writes_served += batch
         if target == 0:
             wq.clear()
         else:
@@ -629,7 +648,7 @@ def _simulate_batch(trace, spec, experiment):
             wq[:] = [e for e in wq if e[2] not in dropped]
         return last
 
-    def enq(address, fb, group, rank, row, arrival):
+    def enq(address, fb, rg, rank, row, arrival):
         nonlocal cur_cycle, seq
         if arrival > cur_cycle:
             cur_cycle = arrival
@@ -637,45 +656,40 @@ def _simulate_batch(trace, spec, experiment):
             drained = drain(cur_cycle, lo_mark)
             if drained > cur_cycle:
                 cur_cycle = drained
-        wq.append((address, arrival, seq, fb, group, rank, row))
+        wq.append((address, arrival, seq, fb, rg, rank, row))
         seq += 1
         wq_count[address] = wq_count.get(address, 0) + 1
 
-    def serve_read(address, fb, group, rank, row, arrival):
+    def serve_read(address, fb, rg, rank, row, arrival):
         nonlocal cur_cycle, reads_served, forwarded_reads, total_read_latency
         if arrival > cur_cycle:
             cur_cycle = arrival
+        reads_served += 1
         if address in wq_count:
             forwarded_reads += 1
-            reads_served += 1
             return cur_cycle
-        completion = chan(fb, group, rank, row, True, cur_cycle)
-        reads_served += 1
+        completion = chan_read(fb, rg, rank, row, cur_cycle)
         total_read_latency += completion - arrival
         return completion
 
-    def cache_access(set_index, tag, dirty):
-        # Flat replica of Cache.access + LRUPolicy: returns (hit, writeback).
+    def meta_access(address, set_index, tag, fb, rg, rank, row, cycle, dirty):
+        # One metadata-line access through a flat replica of Cache.access +
+        # LRUPolicy; a miss fills the line and reads it from DRAM.  Returns
+        # (hit, completion).
+        nonlocal metadata_hits, metadata_reads, metadata_writebacks
         entry = cache_sets.get(set_index)
         if entry is None:
-            entry = cache_sets[set_index] = (
-                [None] * assoc,
-                [False] * assoc,
-                [],
-                {},
-            )
+            entry = cache_sets[set_index] = ([None] * assoc, [False] * assoc, [], {})
         tags, dirtys, lru, tag_to_way = entry
         way = tag_to_way.get(tag)
         if way is not None:
+            metadata_hits += 1
             lru.remove(way)
             lru.append(way)
             if dirty:
                 dirtys[way] = True
-            return True, None
-        if len(tag_to_way) < assoc:
-            victim = tags.index(None)
-        else:
-            victim = lru[0]
+            return True, cycle
+        victim = tags.index(None) if len(tag_to_way) < assoc else lru[0]
         writeback = None
         victim_tag = tags[victim]
         if victim_tag is not None:
@@ -687,36 +701,24 @@ def _simulate_batch(trace, spec, experiment):
         dirtys[victim] = dirty
         tag_to_way[tag] = victim
         lru.append(victim)
-        return False, writeback
-
-    def meta_access(address, set_index, tag, fb, group, rank, row, cycle, dirty):
-        nonlocal metadata_accesses, metadata_hits, metadata_reads, metadata_writebacks
-        metadata_accesses += 1
-        hit, writeback = cache_access(set_index, tag, dirty)
-        completion = cycle
-        if hit:
-            metadata_hits += 1
-        else:
-            metadata_reads += 1
-            if tl_series is not None:
-                # Same index the reference model stamps in
-                # SecureMemorySystem._metadata_access: demand counters are
-                # bumped before metadata expansion in both engines.
-                tl_series.event("integrity_miss", demand_reads + demand_writes)
-            completion = serve_read(address, fb, group, rank, row, cycle)
+        metadata_reads += 1
+        if tl_series is not None:
+            # Same index the reference model stamps in
+            # SecureMemorySystem._metadata_access: demand counters are
+            # bumped before metadata expansion in both engines.
+            tl_series.event("integrity_miss", demand_reads + demand_writes)
+        completion = serve_read(address, fb, rg, rank, row, cycle)
         if writeback is not None:
             metadata_writebacks += 1
-            wfb, wg, wr, wrow = dec(writeback)
-            enq(writeback, wfb, wg, wr, wrow, cycle)
-        return hit, completion
+            wfb, wrg, wr, wrow = dec(writeback)
+            enq(writeback, wfb, wrg, wr, wrow, cycle)
+        return False, completion
 
-    def walk(address, set_index, tag, fb, group, rank, row, leaf, cycle, dirty):
+    def walk(address, set_index, tag, fb, rg, rank, row, leaf, cycle, dirty):
         # Counter/MAC line access plus tree path until the first cached node.
         hit0, completion = meta_access(
-            address, set_index, tag, fb, group, rank, row, cycle, dirty
+            address, set_index, tag, fb, rg, rank, row, cycle, dirty
         )
-        if completion < cycle:
-            completion = cycle
         if not hit0:
             index = leaf
             for level_base, is_root in tree_levels:
@@ -725,17 +727,10 @@ def _simulate_batch(trace, spec, experiment):
                     break
                 node = level_base + index * 64
                 node_line = node >> 6
-                nfb, ng, nr, nrow = dec(node)
+                nfb, nrg, nr, nrow = dec(node)
                 nhit, ncomp = meta_access(
-                    node,
-                    node_line % num_sets,
-                    node_line // num_sets,
-                    nfb,
-                    ng,
-                    nr,
-                    nrow,
-                    cycle,
-                    dirty,
+                    node, node_line % num_sets, node_line // num_sets,
+                    nfb, nrg, nr, nrow, cycle, dirty,
                 )
                 if ncomp > completion:
                     completion = ncomp
@@ -743,58 +738,36 @@ def _simulate_batch(trace, spec, experiment):
                     break
         return hit0, completion
 
-    def secure_read(address, fb, group, rank, row, dram_float, m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, m_leaf):
+    def prefetch_read(address, dram_float):
+        # A prefetch-generated read: the full secure-read path on scalar
+        # coordinates.  Its completion is on no core's critical path.
         nonlocal demand_reads
         demand_reads += 1
         cycle = int(dram_float)
-        if mode == _MODE_PLAIN:
-            meta_completion = cycle
-            extra = extra_hit
-        elif mode == _MODE_META:
-            hit, meta_completion = meta_access(
-                m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, cycle, False
-            )
-            extra = extra_hit if hit else extra_miss
-        else:
-            hit, meta_completion = walk(
-                m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, m_leaf, cycle, False
-            )
-            extra = extra_hit if hit else extra_miss
-        data_completion = serve_read(address, fb, group, rank, row, cycle)
-        if meta_completion > data_completion:
-            return meta_completion, extra
-        return data_completion, extra
-
-    def secure_read_dyn(address, dram_float):
-        # Prefetch-generated address: scalar column computation.
-        fb, group, rank, row = dec(address)
-        if mode == _MODE_PLAIN:
-            return secure_read(address, fb, group, rank, row, dram_float, 0, 0, 0, 0, 0, 0, 0, 0)
-        meta_line = (address >> 6) // meta_per_line
-        m_address = meta_base + meta_line * 64
-        m_line = m_address >> 6
-        m_fb, m_g, m_r, m_row = dec(m_address)
-        m_leaf = meta_line if meta_line < leaf_limit else leaf_limit
-        return secure_read(
-            address, fb, group, rank, row, dram_float,
-            m_address, m_line % num_sets, m_line // num_sets,
-            m_fb, m_g, m_r, m_row, m_leaf,
-        )
-
-    def secure_write(address, fb, group, rank, row, dram_float, m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, m_leaf):
-        nonlocal demand_writes
-        demand_writes += 1
-        cycle = int(dram_float)
-        if mode == _MODE_META:
-            meta_access(m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, cycle, True)
-        elif mode == _MODE_WALK:
-            walk(m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, m_leaf, cycle, True)
-        enq(address, fb, group, rank, row, cycle)
+        if mode != _MODE_PLAIN:
+            meta_line = (address >> 6) // meta_per_line
+            m_address = meta_base + meta_line * 64
+            m_line = m_address >> 6
+            m_fb, m_rg, m_r, m_row = dec(m_address)
+            if mode == _MODE_META:
+                meta_access(
+                    m_address, m_line % num_sets, m_line // num_sets,
+                    m_fb, m_rg, m_r, m_row, cycle, False,
+                )
+            else:
+                walk(
+                    m_address, m_line % num_sets, m_line // num_sets,
+                    m_fb, m_rg, m_r, m_row,
+                    meta_line if meta_line < leaf_limit else leaf_limit, cycle, False,
+                )
+        fb, rg, rank, row = dec(address)
+        serve_read(address, fb, rg, rank, row, cycle)
 
     # ------------------------------------------------------------------
     # Per-core trace state: chunk columns + CPU-side machine state
     # ------------------------------------------------------------------
     with_meta = mode != _MODE_PLAIN
+    walk_mode = mode == _MODE_WALK
 
     def _columnized(chunk_iter):
         # Normalize a (gaps, writes, addresses) chunk stream into the columns
@@ -844,14 +817,14 @@ def _simulate_batch(trace, spec, experiment):
     col_addr = [empty] * n_slots
     col_line = [empty] * n_slots
     col_fb = [empty] * n_slots
-    col_bg = [empty] * n_slots
+    col_rg = [empty] * n_slots
     col_rk = [empty] * n_slots
     col_row = [empty] * n_slots
     col_maddr = [empty] * n_slots
     col_mset = [empty] * n_slots
     col_mtag = [empty] * n_slots
     col_mfb = [empty] * n_slots
-    col_mbg = [empty] * n_slots
+    col_mrg = [empty] * n_slots
     col_mrk = [empty] * n_slots
     col_mrow = [empty] * n_slots
     col_mleaf = [empty] * n_slots
@@ -865,6 +838,7 @@ def _simulate_batch(trace, spec, experiment):
     out_comp = [[] for _ in range(n_slots)]
     out_inst = [[] for _ in range(n_slots)]
     out_head = [0] * n_slots
+    pv_head = [0] * n_slots  # ROB head the last preview stopped at
     pf_last = [-1] * n_slots
     pf_streak = [0] * n_slots
     pf_sets = [set() for _ in range(n_slots)]
@@ -908,7 +882,7 @@ def _simulate_batch(trace, spec, experiment):
             depths[e[3]] += 1
         tl_series.sample(
             tl_steps, instructions, cycles, demand_reads, demand_writes,
-            metadata_accesses, metadata_hits, rob, mshr, depths,
+            metadata_hits + metadata_reads, metadata_hits, rob, mshr, depths,
         )
 
     def refill(c):
@@ -922,10 +896,11 @@ def _simulate_batch(trace, spec, experiment):
         col_write[c] = write_list
         col_addr[c] = addrs_a.tolist()
         lines_a = addrs_a >> 6
-        col_line[c] = lines_a.tolist()
+        if prefetch_enabled:
+            col_line[c] = lines_a.tolist()
         decoded = mapping.decode_arrays(addrs_a)
         col_fb[c] = mapping.flat_bank_arrays(decoded).tolist()
-        col_bg[c] = decoded.bank_group.tolist()
+        col_rg[c] = (decoded.rank * num_bg + decoded.bank_group).tolist()
         col_rk[c] = decoded.rank.tolist()
         col_row[c] = decoded.row.tolist()
         if with_meta:
@@ -937,13 +912,13 @@ def _simulate_batch(trace, spec, experiment):
             col_mset[c] = mset_a.tolist()
             col_mtag[c] = mtag_a.tolist()
             col_mfb[c] = mapping.flat_bank_arrays(mdec).tolist()
-            col_mbg[c] = mdec.bank_group.tolist()
+            col_mrg[c] = (mdec.rank * num_bg + mdec.bank_group).tolist()
             col_mrk[c] = mdec.rank.tolist()
             col_mrow[c] = mdec.row.tolist()
-            if mode == _MODE_WALK:
+            if walk_mode:
                 col_mleaf[c] = np.minimum(meta_line_a, leaf_limit).tolist()
         core_idx[c] = 0
-        core_len[c] = len(col_gap[c])
+        core_len[c] = len(gap_list)
         if tracer is not None:
             tracer.record(
                 "engine-chunk", chunk_start, tracer.now() - chunk_start,
@@ -952,12 +927,14 @@ def _simulate_batch(trace, spec, experiment):
         return True
 
     def preview(c):
-        # Cached equivalent of Core.next_issue_cycle(): core-local state only,
-        # so it stays valid until this core is stepped again.
-        if core_idx[c] >= core_len[c]:
+        # Core.next_issue_cycle() on core-local state only, so the issue
+        # cycle -- and, for a read, the ROB/MSHR head the scan stopped at,
+        # left in pv_head -- stay valid until this core steps again.
+        i = core_idx[c]
+        if i >= core_len[c]:
             if not refill(c):
                 return None
-        i = core_idx[c]
+            i = 0
         issue = core_cpu[c] + col_gapdiv[c][i]
         if not col_write[c][i]:
             comp = out_comp[c]
@@ -975,6 +952,7 @@ def _simulate_batch(trace, spec, experiment):
                 if v > issue:
                     issue = v
                 j += 1
+            pv_head[c] = j
         return issue
 
     active = []
@@ -986,52 +964,46 @@ def _simulate_batch(trace, spec, experiment):
             next_issue.append(cycle)
 
     while active:
-        # argmin with first-index-wins ties, matching System.run().
-        pos = 0
-        best = next_issue[0]
-        for k in range(1, len(next_issue)):
-            v = next_issue[k]
-            if v < best:
-                best = v
-                pos = k
+        issue = min(next_issue)
+        # The first minimum wins ties, matching System.run().
+        pos = next_issue.index(issue)
         c = active[pos]
         i = core_idx[c]
-        gap = col_gap[c][i]
-        inst_index = core_instr[c] + gap
-        issue = core_cpu[c] + col_gapdiv[c][i]
+        inst_index = core_instr[c] + col_gap[c][i]
         if col_write[c][i]:
+            demand_writes += 1
+            cycle = int(issue / ratio)
             if with_meta:
-                secure_write(
-                    col_addr[c][i], col_fb[c][i], col_bg[c][i], col_rk[c][i],
-                    col_row[c][i], issue / ratio,
-                    col_maddr[c][i], col_mset[c][i], col_mtag[c][i],
-                    col_mfb[c][i], col_mbg[c][i], col_mrk[c][i], col_mrow[c][i],
-                    col_mleaf[c][i] if mode == _MODE_WALK else 0,
-                )
-            else:
-                secure_write(
-                    col_addr[c][i], col_fb[c][i], col_bg[c][i], col_rk[c][i],
-                    col_row[c][i], issue / ratio, 0, 0, 0, 0, 0, 0, 0, 0,
-                )
+                m_set = col_mset[c][i]
+                m_tag = col_mtag[c][i]
+                entry = cache_sets.get(m_set)
+                way = None if entry is None else entry[3].get(m_tag)
+                if way is not None:
+                    # Metadata-cache hit: LRU touch, dirty bit and hit count.
+                    metadata_hits += 1
+                    lru = entry[2]
+                    lru.remove(way)
+                    lru.append(way)
+                    entry[1][way] = True
+                elif walk_mode:
+                    walk(
+                        col_maddr[c][i], m_set, m_tag, col_mfb[c][i], col_mrg[c][i],
+                        col_mrk[c][i], col_mrow[c][i], col_mleaf[c][i], cycle, True,
+                    )
+                else:
+                    meta_access(
+                        col_maddr[c][i], m_set, m_tag, col_mfb[c][i], col_mrg[c][i],
+                        col_mrk[c][i], col_mrow[c][i], cycle, True,
+                    )
+            enq(col_addr[c][i], col_fb[c][i], col_rg[c][i], col_rk[c][i], col_row[c][i], cycle)
             core_writes[c] += 1
         else:
+            # The preview already scanned the ROB/MSHR for this read.
+            j = pv_head[c]
             comp = out_comp[c]
-            inst = out_inst[c]
-            j = out_head[c]
-            n = len(comp)
-            while j < n and inst_index - inst[j] > rob_entries:
-                v = comp[j]
-                if v > issue:
-                    issue = v
-                j += 1
-            while n - j >= mshr_entries:
-                v = comp[j]
-                if v > issue:
-                    issue = v
-                j += 1
             if j > 1024:
                 del comp[:j]
-                del inst[:j]
+                del out_inst[c][:j]
                 j = 0
             out_head[c] = j
             issue_dram = (issue + onchip) / ratio
@@ -1042,39 +1014,65 @@ def _simulate_batch(trace, spec, experiment):
                 line_address = line << 6
                 if line_address in pf:
                     pf.discard(line_address)
-                    completion_dram = issue_dram
-                    extra = 0.0
                     covered = True
                 else:
-                    if line == pf_last[c] + 1:
-                        pf_streak[c] += 1
-                    else:
-                        pf_streak[c] = 0
+                    streak = pf_streak[c] + 1 if line == pf_last[c] + 1 else 0
+                    pf_streak[c] = streak
                     pf_last[c] = line
-                    if pf_streak[c] >= pf_threshold:
+                    if streak >= pf_threshold:
                         for ahead in range(1, pf_degree + 1):
                             target = (line + ahead) << 6
                             if target not in pf:
                                 if len(pf) >= pf_max:
                                     pf.clear()
                                 pf.add(target)
-                                secure_read_dyn(target, issue_dram)
-            if not covered:
+                                prefetch_read(target, issue_dram)
+            if covered:
+                completion_dram = issue_dram
+                extra = 0.0
+            else:
+                demand_reads += 1
+                cycle = int(issue_dram)
+                extra = extra_hit
+                meta_done = cycle
                 if with_meta:
-                    completion_dram, extra = secure_read(
-                        col_addr[c][i], col_fb[c][i], col_bg[c][i], col_rk[c][i],
-                        col_row[c][i], issue_dram,
-                        col_maddr[c][i], col_mset[c][i], col_mtag[c][i],
-                        col_mfb[c][i], col_mbg[c][i], col_mrk[c][i], col_mrow[c][i],
-                        col_mleaf[c][i] if mode == _MODE_WALK else 0,
-                    )
+                    m_set = col_mset[c][i]
+                    m_tag = col_mtag[c][i]
+                    entry = cache_sets.get(m_set)
+                    way = None if entry is None else entry[3].get(m_tag)
+                    if way is not None:
+                        metadata_hits += 1
+                        lru = entry[2]
+                        lru.remove(way)
+                        lru.append(way)
+                    else:
+                        extra = extra_miss
+                        if walk_mode:
+                            meta_done = walk(
+                                col_maddr[c][i], m_set, m_tag, col_mfb[c][i], col_mrg[c][i],
+                                col_mrk[c][i], col_mrow[c][i], col_mleaf[c][i], cycle, False,
+                            )[1]
+                        else:
+                            meta_done = meta_access(
+                                col_maddr[c][i], m_set, m_tag, col_mfb[c][i], col_mrg[c][i],
+                                col_mrk[c][i], col_mrow[c][i], cycle, False,
+                            )[1]
+                # The demand data read, inline serve_read().
+                if cycle > cur_cycle:
+                    cur_cycle = cycle
+                reads_served += 1
+                if col_addr[c][i] in wq_count:
+                    forwarded_reads += 1
+                    completion_dram = cur_cycle
                 else:
-                    completion_dram, extra = secure_read(
-                        col_addr[c][i], col_fb[c][i], col_bg[c][i], col_rk[c][i],
-                        col_row[c][i], issue_dram, 0, 0, 0, 0, 0, 0, 0, 0,
+                    completion_dram = chan_read(
+                        col_fb[c][i], col_rg[c][i], col_rk[c][i], col_row[c][i], cur_cycle
                     )
+                    total_read_latency += completion_dram - cycle
+                if meta_done > completion_dram:
+                    completion_dram = meta_done
             completion_cpu = completion_dram * ratio + onchip + extra
-            out_comp[c].append(completion_cpu)
+            comp.append(completion_cpu)
             out_inst[c].append(inst_index)
             core_reads[c] += 1
             core_lat[c] += completion_cpu - issue
@@ -1095,6 +1093,8 @@ def _simulate_batch(trace, spec, experiment):
     # ------------------------------------------------------------------
     # End of simulation: flush metadata cache + drain the write queue
     # ------------------------------------------------------------------
+    # Every metadata access either hits or reads its line from DRAM.
+    metadata_accesses = metadata_hits + metadata_reads
     flush_writebacks = []
     for set_index, entry in cache_sets.items():
         tags, dirtys = entry[0], entry[1]
@@ -1103,8 +1103,8 @@ def _simulate_batch(trace, spec, experiment):
                 dirtys[way] = False
                 flush_writebacks.append((tags[way] * num_sets + set_index) * 64)
     for address in flush_writebacks:
-        wfb, wg, wr, wrow = dec(address)
-        enq(address, wfb, wg, wr, wrow, cur_cycle)
+        wfb, wrg, wr, wrow = dec(address)
+        enq(address, wfb, wrg, wr, wrow, cur_cycle)
     drained = drain(cur_cycle, 0)
     if drained > cur_cycle:
         cur_cycle = drained

@@ -36,12 +36,12 @@ import os
 import pickle
 import time
 import traceback as traceback_module
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cpu.trace import MemoryTrace
-from repro.errors import AmbiguousConfigurationError
+from repro.errors import AmbiguousConfigurationError, RegistryLookupError
 from repro.obs import metrics as obs_metrics
 from repro.obs import timeline as obs_timeline
 from repro.obs import tracing as obs_tracing
@@ -52,7 +52,7 @@ from repro.secure.configs import (
     resolve_configuration,
 )
 from repro.secure.configs import REGISTRY as CONFIGURATION_REGISTRY
-from repro.sim.engines import EngineLike, engine_cache_token
+from repro.sim.engines import EngineLike, engine_cache_token, resolve_engine
 from repro.sim.results import SimulationResult
 from repro.workloads.registry import REGISTRY as WORKLOAD_REGISTRY
 from repro.workloads.registry import trace_cache_token
@@ -384,11 +384,48 @@ class ResultCache:
         return sum(1 for _ in self.directory.glob("*.json"))
 
 
+def _share_key(job) -> Optional[Tuple]:
+    """What ``job`` simulates, up to its configuration name; None if unshareable.
+
+    Jobs with equal keys produce the same result but for the configuration
+    name: the same engine, workload and experiment, and specs the engine
+    maps onto one model (:meth:`~repro.sim.engines.Engine.model_key`).
+    """
+    if not isinstance(job, SimulationJob):
+        return None
+    try:
+        engine = resolve_engine(job.engine)
+        model = engine.model_key(resolve_configuration(job.configuration))
+        if model is None:
+            return None
+        return (engine.name, workload_cache_token(job.workload), job.experiment, model)
+    except RegistryLookupError:
+        # An unknown engine or configuration: the job reports it when it runs.
+        return None
+
+
+def _with_sharers(pending, outcomes, sharers):
+    """Yield ``(index, job, key, result, elapsed, shipped)`` per finished job.
+
+    Each simulated job is followed by the jobs sharing its simulation
+    (:meth:`ParallelRunner._share`): its result under their own
+    configuration name, with zero elapsed time and nothing shipped.
+    """
+    for (index, job, key), outcome in zip(pending, outcomes):
+        if len(outcome) == 3:
+            result, elapsed, shipped = outcome
+        else:
+            (result, elapsed), shipped = outcome, None
+        yield index, job, key, result, elapsed, shipped
+        for s_index, s_job, s_key in sharers.get(index, ()):
+            shared = replace(result, configuration=s_job.configuration_name)
+            yield s_index, s_job, s_key, shared, 0.0, None
+
+
 def _execute_job(job: SimulationJob) -> Tuple[SimulationResult, float]:
     """Worker entry point: simulate one job, returning (result, seconds)."""
     # Imported lazily: repro.sim.experiment imports this module at top level.
     from repro.sim.experiment import run_simulation
-    from repro.sim.engines import resolve_engine
 
     engine_name = resolve_engine(job.engine).name
     started = time.perf_counter()
@@ -477,6 +514,14 @@ class ParallelRunner:
       the matrix completes (and is cached), which is what lets the
       experiment service mark one job ``failed`` with structured error
       detail while concurrent work still benefits from the shared cache.
+
+    Within one :meth:`run`, cache-missed jobs that would simulate the same
+    thing (equal :func:`_share_key`: e.g. ``tdx_baseline`` and
+    ``encrypt_only_xts`` on the batch engine) simulate once.  Every other
+    job of the group still gets its own result (renamed), cache entry and
+    ``"done"`` event -- or, if the simulation raised, its own
+    :class:`JobFailure`.  Nothing is shared while a timeline recorder is
+    live (each configuration records its own series), nor across runs.
     """
 
     def __init__(
@@ -528,6 +573,7 @@ class ParallelRunner:
                     self._emit(
                         JobEvent(job.configuration_name, job.workload_name, "start", index, total)
                     )
+                pending, sharers = self._share(pending)
                 pending_jobs = [job for _, job, _ in pending]
                 # Capture mode wraps the executor *inside* the worker, so a
                 # raising job comes back as a JobFailure value instead of
@@ -538,7 +584,7 @@ class ParallelRunner:
                     if self.failures == "capture" else self.executor
                 )
                 if self.jobs == 1 or len(pending) == 1:
-                    self._consume(pending, map(executor, pending_jobs), results, total)
+                    self._consume(pending, map(executor, pending_jobs), results, total, sharers)
                 else:
                     workers = min(self.jobs, len(pending))
                     # Workers mutate forked copies of the observability
@@ -555,21 +601,40 @@ class ParallelRunner:
                         # imap streams outcomes in job order as workers finish,
                         # so progress events and cache writes happen per job
                         # instead of all at once after the last job.
-                        self._consume(pending, pool.imap(executor, pending_jobs), results, total)
+                        self._consume(
+                            pending, pool.imap(executor, pending_jobs), results, total, sharers
+                        )
 
         if any(result is None for result in results):
             raise RuntimeError("runner left unfilled job slots")  # pragma: no cover
         return results
 
-    def _consume(self, pending, outcomes, results, total) -> None:
+    @staticmethod
+    def _share(pending):
+        """Split cache-missed jobs into the ones to simulate and their sharers.
+
+        Returns ``(to_run, sharers)``: ``sharers`` maps the index of a job
+        in ``to_run`` to the pending entries that take its result.
+        """
+        if obs_timeline.timeline_enabled():
+            return pending, {}
+        to_run = []
+        sharers: Dict[int, List] = {}
+        first: Dict[Tuple, int] = {}
+        for entry in pending:
+            key = _share_key(entry[1])
+            source = entry[0] if key is None else first.setdefault(key, entry[0])
+            if source == entry[0]:
+                to_run.append(entry)
+            else:
+                sharers.setdefault(source, []).append(entry)
+        return to_run, sharers
+
+    def _consume(self, pending, outcomes, results, total, sharers) -> None:
         """Store streamed outcomes, write the cache, and emit 'done' events."""
         registry = obs_metrics.get_registry()
         tracer = obs_tracing.current_tracer()
-        for (index, job, key), outcome in zip(pending, outcomes):
-            if len(outcome) == 3:
-                result, elapsed, shipped = outcome
-            else:
-                (result, elapsed), shipped = outcome, None
+        for index, job, key, result, elapsed, shipped in _with_sharers(pending, outcomes, sharers):
             results[index] = result
             state = "failed" if isinstance(result, JobFailure) else "done"
             registry.counter(

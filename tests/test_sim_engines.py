@@ -3,13 +3,17 @@
 The batch engine's whole value proposition is *exact* statistical parity
 with the reference object model at a fraction of the cost, so the parity
 tests here assert strict equality -- not ``approx`` -- over every registered
-configuration (covering every mechanism) and over randomized traces and
-DDR4/DDR5 mapping geometries.
+configuration (covering every mechanism), over seeded traces and DDR4/DDR5
+mapping geometries, and over Hypothesis-generated experiments and traces
+(:class:`TestDifferentialParity`).
 """
 
+import os
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.controller.memory_controller import ControllerConfig
 from repro.cpu.trace import MemoryTrace, TraceRecord
@@ -28,7 +32,7 @@ from repro.sim.engines import (
     resolve_engine,
 )
 from repro.sim.experiment import ExperimentConfig, run_comparison, run_simulation
-from repro.sim.runner import ParallelRunner, ResultCache, SimulationJob
+from repro.sim.runner import JobFailure, ParallelRunner, ResultCache, SimulationJob
 
 FAST = ExperimentConfig(num_accesses=200, num_cores=2)
 
@@ -203,6 +207,213 @@ class TestBatchParity:
     def test_unknown_engine_rejected(self):
         with pytest.raises(UnknownEngineError):
             run_simulation("mcf", "secddr_ctr", FAST, engine="warp")
+
+
+# ---------------------------------------------------------------------------
+# Differential parity: Hypothesis-generated experiments and traces
+# ---------------------------------------------------------------------------
+#: Examples per run.  By default a small derandomized profile runs with
+#: the test suite; set REPRO_PARITY_EXAMPLES (e.g. 2000) for a longer,
+#: randomized search.
+PARITY_EXAMPLES = int(os.environ.get("REPRO_PARITY_EXAMPLES") or 30)
+
+experiments = st.builds(
+    ExperimentConfig,
+    num_cores=st.integers(1, 4),
+    enable_prefetcher=st.booleans(),
+    # 1-8 KiB: 2-16 sets of 8 ways, so metadata lines evict (and write
+    # back) constantly.
+    metadata_cache_bytes=st.sampled_from([1024, 2048, 4096, 8192]),
+    issue_width=st.integers(1, 8),
+    rob_entries=st.integers(4, 256),
+    mshr_entries=st.integers(1, 32),
+)
+
+specs = st.builds(
+    lambda name, burst: (
+        resolve_configuration(name) if burst is None
+        else resolve_configuration(name).derive(write_burst_cycles=burst)
+    ),
+    st.sampled_from(configuration_names()),
+    st.one_of(st.none(), st.integers(4, 9)),
+)
+
+lines = st.integers(0, (1 << 27) - 1)  # 8 GiB of 64-byte lines
+
+
+@st.composite
+def segments(draw):
+    """One run of trace records: a burst, a strided scan or a reread run."""
+    kind = draw(st.sampled_from(("burst", "stride", "reread")))
+    count = draw(st.integers(1, 30))
+    base = draw(lines) * 64
+    if kind == "burst":
+        # Back-to-back accesses within a few rows: row hits and conflicts.
+        offsets = draw(st.lists(st.integers(0, 511), min_size=count, max_size=count))
+        writes = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        return [(0, w, base + 64 * k) for k, w in zip(offsets, writes)]
+    if kind == "stride":
+        # Next-line strides train the prefetcher; larger ones hop banks.
+        stride = draw(st.sampled_from((64, 128, 4096, 8192, 1 << 17)))
+        gap = draw(st.integers(0, 12))
+        write = draw(st.booleans())
+        return [(gap, write, base + k * stride) for k in range(count)]
+    # Writes, then reads of the same lines: forwarded from the write queue.
+    writes = [(1, True, base + 64 * k) for k in range(count)]
+    return writes + [(0, False, address) for _, _, address in writes]
+
+
+@st.composite
+def traces(draw):
+    """A trace guaranteed to cross both drain watermarks and tREFI.
+
+    Free segments surround two mandatory runs: 60+ writes (more than the
+    48-entry high watermark, so a drain to the low watermark happens), and
+    25+ accesses with 10k-30k instruction gaps (over 31k CPU cycles even at
+    issue width 8, beyond one DDR4/DDR5 refresh interval).
+    """
+    parts = draw(st.lists(segments(), max_size=6))
+    write_base = draw(lines) * 64
+    write_gap = draw(st.integers(0, 3))
+    spread = draw(st.sampled_from((1, 8, 512)))
+    write_run = [
+        (write_gap, True, write_base + 64 * ((k * spread) % 4096))
+        for k in range(draw(st.integers(60, 100)))
+    ]
+    idle_run = [
+        (draw(st.integers(10_000, 30_000)), draw(st.booleans()), draw(lines) * 64)
+        for _ in range(draw(st.integers(25, 30)))
+    ]
+    parts.insert(draw(st.integers(0, len(parts))), write_run)
+    parts.insert(draw(st.integers(0, len(parts))), idle_run)
+    records = [
+        TraceRecord(instruction_gap=gap, is_write=write, address=address)
+        for part in parts
+        for gap, write, address in part
+    ]
+    return MemoryTrace("hypothesis", records)
+
+
+class TestDifferentialParity:
+    @settings(
+        max_examples=PARITY_EXAMPLES,
+        deadline=None,
+        derandomize="REPRO_PARITY_EXAMPLES" not in os.environ,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(experiment=experiments, spec=specs, trace=traces())
+    def test_batch_equals_reference(self, experiment, spec, trace):
+        reference = run_simulation(trace, spec, experiment, engine="reference")
+        batch = run_simulation(trace, spec, experiment, engine="batch")
+        assert batch == reference
+
+
+# ---------------------------------------------------------------------------
+# One simulation per distinct batch model
+# ---------------------------------------------------------------------------
+SHARED = ("tdx_baseline", "encrypt_only_xts", "secddr_xts")
+SHARING_WORKLOADS = ("gcc", "mcf")
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """Counts BatchEngine.simulate calls."""
+    calls = []
+    original = BatchEngine.simulate
+
+    def counted(self, trace, spec, experiment):
+        calls.append(spec.name)
+        return original(self, trace, spec, experiment)
+
+    monkeypatch.setattr(BatchEngine, "simulate", counted)
+    return calls
+
+
+class TestSharedSimulations:
+    def _jobs(self, configurations=SHARED, engine="batch"):
+        return [
+            SimulationJob(configuration, workload, FAST, engine=engine)
+            for workload in SHARING_WORKLOADS
+            for configuration in configurations
+        ]
+
+    def test_equal_models_simulate_once_with_exact_results(self, batch_calls):
+        jobs = self._jobs()
+        batch = ParallelRunner(jobs=1).run(jobs)
+        # tdx_baseline and encrypt_only_xts share one batch model.
+        assert len(batch_calls) == 2 * len(SHARING_WORKLOADS)
+        assert "encrypt_only_xts" not in batch_calls
+        reference = ParallelRunner(jobs=1).run(self._jobs(engine="reference"))
+        for job, got, want in zip(jobs, batch, reference):
+            assert got.configuration == job.configuration_name
+            assert got == want
+
+    def test_model_keys(self):
+        engine = BatchEngine()
+        key = engine.model_key(resolve_configuration("tdx_baseline"))
+        assert key == engine.model_key(resolve_configuration("encrypt_only_xts"))
+        assert key != engine.model_key(resolve_configuration("secddr_xts"))
+        assert ReferenceEngine().model_key(resolve_configuration("tdx_baseline")) is None
+
+    def test_warm_rerun_simulates_nothing(self, tmp_path, batch_calls):
+        cache = ResultCache(tmp_path)
+        first = ParallelRunner(jobs=1, cache=cache).run(self._jobs())
+        assert len(cache) == len(first)  # every job has its own entry
+        del batch_calls[:]
+        second = ParallelRunner(jobs=1, cache=cache).run(self._jobs())
+        assert batch_calls == []
+        assert second == first
+
+    def test_repeated_runs_simulate_again(self, batch_calls):
+        ParallelRunner(jobs=1).run(self._jobs())
+        ParallelRunner(jobs=1).run(self._jobs())
+        assert len(batch_calls) == 2 * 2 * len(SHARING_WORKLOADS)
+
+    def test_live_timeline_simulates_every_configuration(self, batch_calls):
+        from repro.obs import timeline as obs_timeline
+
+        recorder = obs_timeline.TimelineRecorder(window=64)
+        previous = obs_timeline.set_timeline(recorder)
+        try:
+            ParallelRunner(jobs=1).run(self._jobs())
+        finally:
+            obs_timeline.set_timeline(previous)
+        assert len(batch_calls) == len(SHARED) * len(SHARING_WORKLOADS)
+
+    def test_a_different_write_burst_is_not_shared(self, batch_calls):
+        variant = resolve_configuration("encrypt_only_xts").derive(write_burst_cycles=5)
+        ParallelRunner(jobs=1).run(self._jobs(configurations=("tdx_baseline", variant)))
+        assert len(batch_calls) == 2 * len(SHARING_WORKLOADS)
+
+    def test_reference_jobs_are_not_shared(self, monkeypatch):
+        calls = []
+        original = ReferenceEngine.simulate
+
+        def counted(self, trace, spec, experiment):
+            calls.append(spec.name)
+            return original(self, trace, spec, experiment)
+
+        monkeypatch.setattr(ReferenceEngine, "simulate", counted)
+        ParallelRunner(jobs=1).run(self._jobs(engine="reference"))
+        assert len(calls) == len(SHARED) * len(SHARING_WORKLOADS)
+
+    def test_a_shared_failure_is_reported_per_job(self, monkeypatch):
+        def broken(self, trace, spec, experiment):
+            raise RuntimeError("boom in %s" % spec.name)
+
+        monkeypatch.setattr(BatchEngine, "simulate", broken)
+        jobs = self._jobs(configurations=("tdx_baseline", "encrypt_only_xts"))
+        outcomes = ParallelRunner(jobs=1, failures="capture").run(jobs)
+        assert all(isinstance(outcome, JobFailure) for outcome in outcomes)
+        assert [f.configuration for f in outcomes] == [j.configuration_name for j in jobs]
+        assert all(f.error_message == "boom in tdx_baseline" for f in outcomes)
+
+    def test_pool_path_shares_too(self, tmp_path):
+        serial = ParallelRunner(jobs=1).run(self._jobs())
+        cache = ResultCache(tmp_path)
+        pooled = ParallelRunner(jobs=2, cache=cache).run(self._jobs())
+        assert pooled == serial
+        assert len(cache) == len(serial)
 
 
 class TestDeprecatedSpellings:
