@@ -6,8 +6,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.cache.replacement import LRUPolicy, ReplacementPolicy
 
 __all__ = ["CacheConfig", "CacheStats", "AccessOutcome", "Cache"]
@@ -94,15 +92,6 @@ class Cache:
         set_index = line_address % self.config.num_sets
         tag = line_address // self.config.num_sets
         return set_index, tag
-
-    def index_and_tag_arrays(self, addresses) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``(set_index, tag)`` computation over an address array.
-
-        The batch simulation engine precomputes these columns for whole trace
-        chunks; element ``i`` matches ``_index_and_tag(addresses[i])``.
-        """
-        lines = np.asarray(addresses, dtype=np.int64) // self.config.line_bytes
-        return lines % self.config.num_sets, lines // self.config.num_sets
 
     def _find_way(self, set_index: int, tag: int) -> Optional[int]:
         ways = self._sets.get(set_index, {})

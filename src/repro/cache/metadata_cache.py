@@ -63,31 +63,6 @@ class MetadataCache:
         """Non-destructive presence check (used to find the verified level)."""
         return self._cache.probe(address)
 
-    def index_and_tag_arrays(self, addresses):
-        """Vectorized ``(set_index, tag)`` columns for an address array.
-
-        Exposes the underlying cache geometry as array arithmetic so the
-        batch engine can precompute metadata-cache lookup coordinates for a
-        whole trace chunk at once.
-        """
-        return self._cache.index_and_tag_arrays(addresses)
-
-    def probe_many(self, addresses):
-        """Array-valued :meth:`contains`: a numpy bool per input address.
-
-        Like :meth:`contains`, this is non-destructive — no statistics and no
-        recency update — so it is safe to use for batch residency snapshots.
-        """
-        import numpy as np
-
-        set_indexes, tags = self._cache.index_and_tag_arrays(addresses)
-        probe = self._cache._find_way
-        return np.fromiter(
-            (probe(int(s), int(t)) is not None for s, t in zip(set_indexes, tags)),
-            dtype=bool,
-            count=len(tags),
-        )
-
     def access(self, address: int, is_write: bool = False) -> MetadataAccessResult:
         """Look up a metadata line, allocating it on a miss.
 

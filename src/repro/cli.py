@@ -519,7 +519,7 @@ def _add_engine_argument(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--engine", default=None, metavar="NAME",
         help="simulation engine: 'reference' (default; the per-access object "
-        "model) or 'batch' (vectorized, bit-identical results, ~6.5x faster); "
+        "model) or 'batch' (vectorized, bit-identical results, ~8.5x faster); "
         "run 'repro list' for the engine registry",
     )
 

@@ -2,12 +2,13 @@
 
 The reference engine advances the cycle-level object model one access at a
 time (:mod:`repro.cpu.core` -> :mod:`repro.secure.base` -> :mod:`repro.dram`).
-The batch engine consumes whole trace chunks as numpy arrays -- vectorized
-DRAM address decode (:meth:`repro.dram.address_mapping.AddressMapping.decode_arrays`),
-metadata-cache coordinates as array probes
-(:meth:`repro.cache.metadata_cache.MetadataCache.index_and_tag_arrays`) and
-secure-mechanism overhead columns precomputed per chunk -- then replays the
-flattened state machine without allocating a single per-access object.
+The batch engine turns whole trace chunks into a replay plan computed with
+numpy -- vectorized DRAM address decode
+(:meth:`repro.dram.address_mapping.AddressMapping.decode_arrays`),
+metadata-cache set/tag columns, prefetcher decisions -- built once per trace
+and shared by every model that replays it, then replays the flattened state
+machine, one generator kernel per core, without allocating a single
+per-access object.
 
 Both engines are registered in :data:`ENGINES` and selected by the
 ``engine=`` parameter threaded through :func:`repro.sim.experiment.run_simulation`,
@@ -25,6 +26,11 @@ key instead.
 
 from __future__ import annotations
 
+import weakref
+from collections import deque
+from itertools import repeat, tee
+from math import nextafter
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
@@ -252,13 +258,14 @@ _MODE_WALK = 2  # metadata line + integrity-tree walk on a miss
 class BatchEngine(Engine):
     """Vectorized chunk-at-a-time engine with exact reference parity.
 
-    Per chunk, everything stateless is precomputed as numpy columns: issue
-    deltas (``gap / issue_width``), DRAM coordinates for data and metadata
-    addresses, metadata-cache set/tag pairs and integrity-tree leaf indices.
-    A single flat Python loop then replays the stateful parts (ROB/MSHR
-    stalls, LRU metadata cache, FR-FCFS write drains, DDR bank/rank/bus
-    constraints) with plain ints, lists and dicts -- no ``MemoryRequest`` or
-    ``DecodedAddress`` objects, no deque copies for issue previews.
+    Per chunk, everything stateless is computed with numpy into a replay
+    plan: issue deltas (``gap / issue_width``), DRAM coordinates of data
+    addresses, the stream prefetcher's decisions and metadata-cache set/tag
+    pairs.  The plan of an in-memory trace is built once and shared by
+    every model that replays it.  One generator kernel per core then
+    replays the stateful parts (ROB/MSHR stalls, LRU metadata cache,
+    FR-FCFS write drains, DDR bank/rank/bus constraints) with plain ints,
+    lists and dicts -- no ``MemoryRequest`` or ``DecodedAddress`` objects.
     """
 
     name = "batch"
@@ -349,6 +356,218 @@ def _batch_model(spec):
     return mode, spec.timing, spec.write_burst_cycles
 
 
+# ---------------------------------------------------------------------------
+# Batch engine, part 1: the replay plan
+# ---------------------------------------------------------------------------
+#: Replay plans of in-memory traces, ``trace -> {plan key: chunk list}``.  The
+#: keys are weak, so a trace's plans live exactly as long as the trace; a
+#: streamed (chunked) trace never gets an entry.
+_PLANS = weakref.WeakKeyDictionary()
+
+#: Stands in for a column the replay does not read (prefetch decisions with
+#: the prefetcher off, metadata columns in plain mode).  Stateless, so one
+#: instance serves every ``zip``.
+_NONE_COLUMN = repeat(None)
+_NO_META = (_NONE_COLUMN, _NONE_COLUMN)
+
+#: Sort key of a write-queue entry by arrival cycle.
+_ARRIVAL = itemgetter(1)
+
+#: Scheduler bounds no issue cycle reaches / every issue cycle stays below.
+_NEVER = float("-inf")
+_FOREVER = float("inf")
+
+
+def _mapping_key(mapping):
+    """Everything :func:`_decode_columns` and :func:`_scalar_decoder` read."""
+    return (
+        mapping.line_bytes, mapping.channels, mapping.ranks, mapping.bank_groups,
+        mapping.banks_per_group, mapping.rows, mapping.columns_per_row,
+    )
+
+
+def _decode_columns(mapping, addrs_a):
+    """``(flat bank, rank * bank_groups + group, rank, row)`` arrays of an array."""
+    decoded = mapping.decode_arrays(addrs_a)
+    rg_a = decoded.rank * mapping.bank_groups + decoded.bank_group
+    return rg_a * mapping.banks_per_group + decoded.bank, rg_a, decoded.rank, decoded.row
+
+
+def _scalar_decoder(mapping):
+    """Scalar twin of :func:`_decode_columns` (matches ``mapping.decode()``).
+
+    For addresses only known mid-replay: tree nodes, cache-writeback victims
+    and the metadata lines of prefetched data.
+    """
+    off_bits = (mapping.line_bytes - 1).bit_length()
+    ch_bits = (mapping.channels - 1).bit_length()
+    bg_bits = (mapping.bank_groups - 1).bit_length()
+    bk_bits = (mapping.banks_per_group - 1).bit_length()
+    col_bits = (mapping.columns_per_row - 1).bit_length()
+    rk_bits = (mapping.ranks - 1).bit_length()
+    num_bg = mapping.bank_groups
+    num_bpg = mapping.banks_per_group
+    bg_mask = num_bg - 1
+    bk_mask = num_bpg - 1
+    rk_mask = mapping.ranks - 1
+    row_mask = mapping.rows - 1
+
+    def dec(address):
+        bits = address >> off_bits
+        bits >>= ch_bits
+        group = bits & bg_mask
+        bits >>= bg_bits
+        bank = bits & bk_mask
+        bits >>= bk_bits
+        bits >>= col_bits
+        rank = bits & rk_mask
+        bits >>= rk_bits
+        rg = rank * num_bg + group
+        return rg * num_bpg + bank, rg, rank, bits & row_mask
+
+    return dec
+
+
+def _chunk_arrays(chunk_iter):
+    """``(addresses, gaps, writes)`` int64 arrays per non-empty chunk of a stream."""
+    for gaps_a, writes_a, addrs_a in chunk_iter:
+        if len(gaps_a):
+            yield (
+                np.ascontiguousarray(addrs_a, dtype=np.int64),
+                np.ascontiguousarray(gaps_a, dtype=np.int64),
+                np.ascontiguousarray(writes_a, dtype=np.int64),
+            )
+
+
+def _core_plan(chunks, mapping, issue_width, prefetcher):
+    """One core's replay columns, chunk by chunk.
+
+    Yields a list of columns: gaps, issue deltas (``gap / issue_width``),
+    write flags, addresses, flat banks, rank-groups, ranks, rows and
+    prefetch decisions.  The stream prefetcher is per core and trains on
+    that core's reads only, so its decisions are a function of the trace:
+    ``prefetch`` holds, per access, None (nothing to do), True (an earlier
+    prefetch covers this read) or a list of decoded targets ``[address,
+    flat bank, rank-group, rank, row]`` to prefetch before the demand read.
+    ``prefetcher`` is ``(train threshold, degree, max outstanding)``, or
+    None when it is off (``prefetch`` is then all None).
+    """
+    if prefetcher is not None:
+        threshold, degree, max_outstanding = prefetcher
+        last = -1
+        streak = 0
+        outstanding = set()
+    for addrs_a, gaps_a, writes_a in chunks:
+        prefetch = _NONE_COLUMN
+        if prefetcher is not None:
+            writes = writes_a.tolist()
+            prefetch = [None] * len(writes)
+            issuing = []  # (access index, target addresses)
+            for i, line in enumerate((addrs_a >> 6).tolist()):
+                if writes[i]:
+                    continue
+                line_address = line << 6
+                if line_address in outstanding:
+                    outstanding.discard(line_address)
+                    prefetch[i] = True
+                    continue
+                streak = streak + 1 if line == last + 1 else 0
+                last = line
+                if streak >= threshold:
+                    targets = []
+                    for ahead in range(1, degree + 1):
+                        target = (line + ahead) << 6
+                        if target not in outstanding:
+                            if len(outstanding) >= max_outstanding:
+                                outstanding.clear()
+                            outstanding.add(target)
+                            targets.append(target)
+                    if targets:
+                        issuing.append((i, targets))
+            if issuing:
+                flat = np.array([target for _, targets in issuing for target in targets], dtype=np.int64)
+                decoded = iter(np.stack((flat,) + _decode_columns(mapping, flat), axis=1).tolist())
+                for i, targets in issuing:
+                    prefetch[i] = [next(decoded) for _ in targets]
+        columns = np.stack((gaps_a, gaps_a, writes_a, addrs_a) + _decode_columns(mapping, addrs_a)).tolist()
+        columns[1] = (gaps_a / issue_width).tolist()
+        columns.append(prefetch)
+        yield columns
+
+
+def _meta_plan(chunks, meta_base, meta_per_line, num_sets):
+    """One core's metadata-line columns, chunk by chunk.
+
+    Yields ``[set indices, tags]`` lists: where the metadata line of each
+    access sits in the metadata cache.  A line's address, DRAM coordinates
+    and tree leaf follow from its set and tag; the replay decodes them only
+    on a miss.
+    """
+    for addrs_a, _, _ in chunks:
+        lines_a = (meta_base >> 6) + (addrs_a >> 6) // meta_per_line
+        yield np.stack((lines_a % num_sets, lines_a // num_sets)).tolist()
+
+
+def _replay_chunks(trace, offset, mapping, issue_width, prefetcher, meta):
+    """``(core chunk, meta chunk)`` pairs for the core at address ``offset``.
+
+    ``meta`` is ``(meta_base, meta_per_line, num_sets)``, or None in plain
+    mode, where the meta chunk is a pair of all-None columns.  In-memory
+    traces: chunk lists memoized per trace in :data:`_PLANS` under every
+    input they depend on.  Streamed traces: a generator that builds each
+    chunk as the replay reaches it and keeps none.
+    """
+    core_args = (mapping, issue_width, prefetcher)
+    if callable(getattr(trace, "iter_chunk_arrays", None)):
+        view = trace.offset(offset)
+        if meta is None:
+            return zip(_core_plan(_chunk_arrays(view.iter_chunk_arrays()), *core_args), repeat(_NO_META))
+        for_core, for_meta = tee(_chunk_arrays(view.iter_chunk_arrays()))
+        return zip(_core_plan(for_core, *core_args), _meta_plan(for_meta, *meta))
+    from repro.traces.streaming import iter_memory_trace_chunks
+
+    try:
+        plans = _PLANS.get(trace)
+        if plans is None:
+            plans = _PLANS[trace] = {}
+    except TypeError:  # not weak-referenceable: plan it for this run only
+        plans = {}
+    base = plans.get("chunks")
+    if base is None:
+        base = plans["chunks"] = list(_chunk_arrays(iter_memory_trace_chunks(trace)))
+
+    def memo(key, build, args):
+        key = (build.__name__, offset) + key
+        chunks = plans.get(key)
+        if chunks is None:
+            shifted = [(a + offset if offset else a, g, w) for a, g, w in base]
+            chunks = plans[key] = list(build(shifted, *args))
+        return chunks
+
+    core_chunks = memo((_mapping_key(mapping), issue_width, prefetcher), _core_plan, core_args)
+    if meta is None:
+        return zip(core_chunks, repeat(_NO_META))
+    return zip(core_chunks, memo(meta, _meta_plan, meta))
+
+
+def _traced_chunks(tracer, core, pairs):
+    """``pairs``, with one "engine-chunk" span per chunk handed to the replay."""
+    pairs = iter(pairs)
+    while True:
+        start = tracer.now()
+        pair = next(pairs, None)
+        if pair is None:
+            return
+        tracer.record(
+            "engine-chunk", start, tracer.now() - start,
+            attrs={"core": core, "accesses": len(pair[0][0])},
+        )
+        yield pair
+
+
+# ---------------------------------------------------------------------------
+# Batch engine, part 2: the replay
+# ---------------------------------------------------------------------------
 def _simulate_batch(trace, spec, experiment):
     """Run one simulation on the batch engine (see :class:`BatchEngine`)."""
     from repro.cache.metadata_cache import MetadataCache
@@ -360,7 +579,6 @@ def _simulate_batch(trace, spec, experiment):
     from repro.secure.base import MetadataLayout
     from repro.secure.integrity_tree import IntegrityTree
     from repro.sim.results import SimulationResult
-    from repro.traces.streaming import iter_memory_trace_chunks
 
     mode_params, timing, write_burst_cycles = _batch_model(spec)
     mode, extra_hit, extra_miss, meta_base, meta_per_line, geometry = mode_params
@@ -372,6 +590,7 @@ def _simulate_batch(trace, spec, experiment):
         bank_groups=controller_config.bank_groups,
         banks_per_group=controller_config.banks_per_group,
     )
+    dec = _scalar_decoder(mapping)
 
     # Metadata-cache geometry (the MetadataCache constructor validates it the
     # same way the reference build does).
@@ -392,17 +611,14 @@ def _simulate_batch(trace, spec, experiment):
         enable_prefetcher=experiment.enable_prefetcher,
     )
     ratio = core_config.cpu_cycles_per_dram_cycle
-    issue_width = core_config.issue_width
     rob_entries = core_config.rob_entries
     mshr_entries = core_config.mshr_entries
     onchip = core_config.onchip_latency_cycles
     num_cores = system_config.num_cores
-    stride = system_config.per_core_address_stride
-    prefetch_enabled = system_config.enable_prefetcher
-    pf_proto = StreamPrefetcher()
-    pf_threshold = pf_proto.train_threshold
-    pf_degree = pf_proto.degree
-    pf_max = pf_proto.max_outstanding
+    prefetcher = None
+    if system_config.enable_prefetcher:
+        proto = StreamPrefetcher()
+        prefetcher = (proto.train_threshold, proto.degree, proto.max_outstanding)
 
     # Timing constants as locals (hot-loop attribute hoisting).
     tCL = timing.tCL
@@ -431,41 +647,13 @@ def _simulate_batch(trace, spec, experiment):
     ms_write = controller_config.memory_side_write_latency
     hi_mark = controller_config.write_drain_high_watermark
     lo_mark = controller_config.write_drain_low_watermark
-
-    num_bg = mapping.bank_groups
-    num_bpg = mapping.banks_per_group
     num_ranks = mapping.ranks
-    num_banks = num_ranks * num_bg * num_bpg
+    num_banks = num_ranks * mapping.bank_groups * mapping.banks_per_group
 
-    off_bits = (mapping.line_bytes - 1).bit_length()
-    ch_bits = (mapping.channels - 1).bit_length()
-    bg_bits = (num_bg - 1).bit_length()
-    bk_bits = (num_bpg - 1).bit_length()
-    col_bits = (mapping.columns_per_row - 1).bit_length()
-    rk_bits = (num_ranks - 1).bit_length()
-    bg_mask = num_bg - 1
-    bk_mask = num_bpg - 1
-    rk_mask = num_ranks - 1
-    row_mask = mapping.rows - 1
-
-    def dec(address):
-        # Scalar decode for dynamically generated addresses (prefetch
-        # targets, tree nodes, cache-writeback victims); matches
-        # mapping.decode().  Returns (flat bank, rank * bank_groups + group,
-        # rank, row) -- the coordinates the channel kernels take.
-        bits = address >> off_bits
-        bits >>= ch_bits
-        group = bits & bg_mask
-        bits >>= bg_bits
-        bank = bits & bk_mask
-        bits >>= bk_bits
-        bits >>= col_bits
-        rank = bits & rk_mask
-        bits >>= rk_bits
-        rg = rank * num_bg + group
-        return rg * num_bpg + bank, rg, rank, bits & row_mask
-
-    # Integrity-tree levels: (first-node address, is-root) per level.
+    # Integrity-tree levels: (first-node line, is-root) per level.  Metadata
+    # addresses (counter, MAC and tree lines) are 64-byte aligned, so a
+    # metadata line number, ``tag * num_sets + set`` in the cache, is the
+    # address >> 6.
     tree_levels = ()
     tree_arity = 1
     leaf_limit = 0
@@ -475,30 +663,34 @@ def _simulate_batch(trace, spec, experiment):
         tree_arity = geometry.arity
         leaf_limit = geometry.leaf_lines - 1
         tree_levels = tuple(
-            (0, True) if sizes[level - 1] == 1 else (tree.node_address(level, 0), False)
+            (0, True) if sizes[level - 1] == 1 else (tree.node_address(level, 0) >> 6, False)
             for level in range(1, len(sizes) + 1)
         )
+    meta_base_line = meta_base >> 6
+    with_meta = mode != _MODE_PLAIN
+    walk_mode = mode == _MODE_WALK
 
     # ------------------------------------------------------------------
-    # Flat DRAM / controller / cache state
+    # Shared memory-side state: DRAM channel, write queue, metadata cache
     # ------------------------------------------------------------------
     b_open = [None] * num_banks
     b_act = [0] * num_banks
     b_pre = [0] * num_banks
     b_col = [0] * num_banks  # earliest read/write command (activate + tRCD)
     r_act_any = [0] * num_ranks
-    r_act_g = [0] * (num_ranks * num_bg)
+    r_act_g = [0] * (num_ranks * mapping.bank_groups)
     r_col_any = [0] * num_ranks
-    r_col_g = [0] * (num_ranks * num_bg)
+    r_col_g = [0] * (num_ranks * mapping.bank_groups)
     r_raw = [0] * num_ranks
-    r_hist = [[] for _ in range(num_ranks)]
+    # The last four activates per rank, seeded with ones at -tFAW, which
+    # constrain no activate (every activate is at cycle >= 0).
+    r_hist = [deque((-tFAW,) * 4, maxlen=4) for _ in range(num_ranks)]
     bus_free = 0
     last_refresh = 0
     cur_cycle = 0
     wq = []  # (address, arrival, seq, flat_bank, rank_group, rank, row)
     wq_count = {}
     seq = 0
-    reads_served = 0
     writes_served = 0
     forwarded_reads = 0
     total_read_latency = 0
@@ -507,8 +699,15 @@ def _simulate_batch(trace, spec, experiment):
     metadata_reads = 0
     metadata_writebacks = 0
     metadata_hits = 0
-    # set_index -> (tags, dirtys, lru_ways, tag_to_way)
-    cache_sets = {}
+    # Metadata-cache replica of Cache.access + LRUPolicy: one dict per set,
+    # ``tag -> way << 1 | dirty`` in LRU order (the first key is the
+    # victim).  Ways fill in order and are never freed, so a set holding k
+    # lines fills way k next.  Untouched sets share the read-only EMPTY;
+    # ``touched`` lists sets in first-use order, the order the end-of-run
+    # flush visits them.
+    EMPTY = {}
+    meta_sets = [EMPTY] * num_sets if with_meta else []
+    touched = []
 
     # DRAM channel kernels.  Every max-update below that is a plain store is
     # provably monotone: the new value is a maximum that already includes
@@ -527,14 +726,17 @@ def _simulate_batch(trace, spec, experiment):
 
     def activate(fb, rg, rank, row, cycle):
         # Precharge the open row (if any), then activate ``row``; returns the
-        # activate cycle.
+        # bank's earliest column-command cycle, activate + tRCD.
+        # ``earliest`` is b_act[fb] after the precharge; the store at the
+        # end overwrites it, so it stays local.
+        earliest = b_act[fb]
         if b_open[fb] is not None:
             pre = b_pre[fb]
             if cycle > pre:
                 pre = cycle
             v = pre + tRP
-            if v > b_act[fb]:
-                b_act[fb] = v
+            if v > earliest:
+                earliest = v
             cycle = pre
         act = cycle
         v = r_act_any[rank]
@@ -544,35 +746,34 @@ def _simulate_batch(trace, spec, experiment):
         if v > act:
             act = v
         hist = r_hist[rank]
-        if len(hist) == 4:
-            v = hist[0] + tFAW
-            if v > act:
-                act = v
-            del hist[0]
-        v = b_act[fb]
+        v = hist[0] + tFAW
         if v > act:
             act = v
+        if earliest > act:
+            act = earliest
         hist.append(act)
         b_open[fb] = row
         v = act + tRAS
         if v > b_pre[fb]:
             b_pre[fb] = v
-        # act >= b_act[fb] (which is >= the previous activate + tRC),
-        # r_act_any[rank] and r_act_g[rg]: these stores only move forward.
-        b_col[fb] = act + tRCD
+        # act >= earliest >= b_act[fb] (which is >= the previous activate +
+        # tRC), r_act_any[rank] and r_act_g[rg]: these stores only move
+        # forward.
+        b_col[fb] = col = act + tRCD
         b_act[fb] = act + tRC
         r_act_any[rank] = act + tRRD_S
         r_act_g[rg] = act + tRRD_L
-        return act
+        return col
 
     def chan_read(fb, rg, rank, row, earliest):
         nonlocal bus_free
         cycle = refresh(earliest) if earliest - last_refresh >= tREFI else earliest
         if b_open[fb] != row:
-            cycle = activate(fb, rg, rank, row, cycle)
-        col = b_col[fb]
-        if cycle > col:
-            col = cycle
+            col = activate(fb, rg, rank, row, cycle)
+        else:
+            col = b_col[fb]
+            if cycle > col:
+                col = cycle
         v = r_col_any[rank]
         if v > col:
             col = v
@@ -597,10 +798,11 @@ def _simulate_batch(trace, spec, experiment):
         nonlocal bus_free
         cycle = refresh(earliest) if earliest - last_refresh >= tREFI else earliest
         if b_open[fb] != row:
-            cycle = activate(fb, rg, rank, row, cycle)
-        col = b_col[fb]
-        if cycle > col:
-            col = cycle
+            col = activate(fb, rg, rank, row, cycle)
+        else:
+            col = b_col[fb]
+            if cycle > col:
+                col = cycle
         v = r_col_any[rank]
         if v > col:
             col = v
@@ -627,8 +829,20 @@ def _simulate_batch(trace, spec, experiment):
             return cycle
         batch = len(wq) - target
         # FR-FCFS over a static row-state snapshot == greedy repeated pick:
-        # ordering happens before any request in the batch is served.
-        ordered = sorted(wq, key=lambda e: (b_open[e[3]] != e[6], e[1], e[2]))
+        # ordering happens before any request in the batch is served.  The
+        # order is (row miss, arrival, arrival sequence): row hits before
+        # misses, each sorted by arrival.  The queue is in arrival-sequence
+        # order and sorts are stable, so the sequence needs no key.
+        hits = []
+        misses = []
+        for e in wq:
+            if b_open[e[3]] == e[6]:
+                hits.append(e)
+            else:
+                misses.append(e)
+        hits.sort(key=_ARRIVAL)
+        misses.sort(key=_ARRIVAL)
+        ordered = hits + misses
         last = cycle
         served = ordered[:batch]
         for e in served:
@@ -661,10 +875,9 @@ def _simulate_batch(trace, spec, experiment):
         wq_count[address] = wq_count.get(address, 0) + 1
 
     def serve_read(address, fb, rg, rank, row, arrival):
-        nonlocal cur_cycle, reads_served, forwarded_reads, total_read_latency
+        nonlocal cur_cycle, forwarded_reads, total_read_latency
         if arrival > cur_cycle:
             cur_cycle = arrival
-        reads_served += 1
         if address in wq_count:
             forwarded_reads += 1
             return cur_cycle
@@ -672,195 +885,118 @@ def _simulate_batch(trace, spec, experiment):
         total_read_latency += completion - arrival
         return completion
 
-    def meta_access(address, set_index, tag, fb, rg, rank, row, cycle, dirty):
-        # One metadata-line access through a flat replica of Cache.access +
-        # LRUPolicy; a miss fills the line and reads it from DRAM.  Returns
-        # (hit, completion).
-        nonlocal metadata_hits, metadata_reads, metadata_writebacks
-        entry = cache_sets.get(set_index)
-        if entry is None:
-            entry = cache_sets[set_index] = ([None] * assoc, [False] * assoc, [], {})
-        tags, dirtys, lru, tag_to_way = entry
-        way = tag_to_way.get(tag)
-        if way is not None:
-            metadata_hits += 1
-            lru.remove(way)
-            lru.append(way)
-            if dirty:
-                dirtys[way] = True
-            return True, cycle
-        victim = tags.index(None) if len(tag_to_way) < assoc else lru[0]
+    def meta_miss(set_index, tag, cycle, dirty):
+        # A metadata-cache miss (the caller has probed the set): fill the
+        # line, write back a dirty victim and read the line from DRAM.
+        # Returns the read's completion.
+        nonlocal metadata_reads, metadata_writebacks
+        lines = meta_sets[set_index]
         writeback = None
-        victim_tag = tags[victim]
-        if victim_tag is not None:
-            if dirtys[victim]:
-                writeback = (victim_tag * num_sets + set_index) * 64
-            del tag_to_way[victim_tag]
-            lru.remove(victim)
-        tags[victim] = tag
-        dirtys[victim] = dirty
-        tag_to_way[tag] = victim
-        lru.append(victim)
+        if lines is EMPTY:
+            lines = meta_sets[set_index] = {}
+            touched.append(set_index)
+        if len(lines) < assoc:
+            way = len(lines)
+        else:
+            victim = next(iter(lines))
+            way = lines.pop(victim)
+            if way & 1:
+                writeback = (victim * num_sets + set_index) * 64
+            way >>= 1
+        lines[tag] = way << 1 | dirty
         metadata_reads += 1
         if tl_series is not None:
             # Same index the reference model stamps in
             # SecureMemorySystem._metadata_access: demand counters are
             # bumped before metadata expansion in both engines.
             tl_series.event("integrity_miss", demand_reads + demand_writes)
-        completion = serve_read(address, fb, rg, rank, row, cycle)
+        address = (tag * num_sets + set_index) << 6
+        completion = serve_read(address, *dec(address), cycle)
         if writeback is not None:
             metadata_writebacks += 1
-            wfb, wrg, wr, wrow = dec(writeback)
-            enq(writeback, wfb, wrg, wr, wrow, cycle)
-        return False, completion
+            enq(writeback, *dec(writeback), cycle)
+        return completion
 
-    def walk(address, set_index, tag, fb, rg, rank, row, leaf, cycle, dirty):
-        # Counter/MAC line access plus tree path until the first cached node.
-        hit0, completion = meta_access(
-            address, set_index, tag, fb, rg, rank, row, cycle, dirty
-        )
-        if not hit0:
-            index = leaf
-            for level_base, is_root in tree_levels:
-                index //= tree_arity
-                if is_root:
-                    break
-                node = level_base + index * 64
-                node_line = node >> 6
-                nfb, nrg, nr, nrow = dec(node)
-                nhit, ncomp = meta_access(
-                    node, node_line % num_sets, node_line // num_sets,
-                    nfb, nrg, nr, nrow, cycle, dirty,
-                )
-                if ncomp > completion:
-                    completion = ncomp
-                if nhit:
-                    break
-        return hit0, completion
+    def walk_miss(set_index, tag, cycle, dirty):
+        # A counter/MAC-line miss, then the tree path up to the first cached
+        # node.  Returns the latest completion.
+        nonlocal metadata_hits
+        completion = meta_miss(set_index, tag, cycle, dirty)
+        index = tag * num_sets + set_index - meta_base_line  # the tree leaf
+        if index > leaf_limit:
+            index = leaf_limit
+        for level_line, is_root in tree_levels:
+            index //= tree_arity
+            if is_root:
+                break
+            node_line = level_line + index
+            n_set = node_line % num_sets
+            n_tag = node_line // num_sets
+            lines = meta_sets[n_set]
+            v = lines.pop(n_tag, None)
+            if v is not None:
+                # A hit completes at ``cycle``, and completion >= cycle.
+                metadata_hits += 1
+                lines[n_tag] = v | dirty
+                break
+            n_comp = meta_miss(n_set, n_tag, cycle, dirty)
+            if n_comp > completion:
+                completion = n_comp
+        return completion
 
-    def prefetch_read(address, dram_float):
-        # A prefetch-generated read: the full secure-read path on scalar
-        # coordinates.  Its completion is on no core's critical path.
-        nonlocal demand_reads
+    def prefetch_read(address, fb, rg, rank, row, dram_float):
+        # A prefetch-generated read: the full secure-read path.  Its
+        # completion is on no core's critical path.
+        nonlocal demand_reads, metadata_hits
         demand_reads += 1
         cycle = int(dram_float)
-        if mode != _MODE_PLAIN:
-            meta_line = (address >> 6) // meta_per_line
-            m_address = meta_base + meta_line * 64
-            m_line = m_address >> 6
-            m_fb, m_rg, m_r, m_row = dec(m_address)
-            if mode == _MODE_META:
-                meta_access(
-                    m_address, m_line % num_sets, m_line // num_sets,
-                    m_fb, m_rg, m_r, m_row, cycle, False,
-                )
+        if with_meta:
+            m_line = meta_base_line + (address >> 6) // meta_per_line
+            m_set = m_line % num_sets
+            m_tag = m_line // num_sets
+            lines = meta_sets[m_set]
+            v = lines.pop(m_tag, None)
+            if v is not None:
+                metadata_hits += 1
+                lines[m_tag] = v
+            elif walk_mode:
+                walk_miss(m_set, m_tag, cycle, 0)
             else:
-                walk(
-                    m_address, m_line % num_sets, m_line // num_sets,
-                    m_fb, m_rg, m_r, m_row,
-                    meta_line if meta_line < leaf_limit else leaf_limit, cycle, False,
-                )
-        fb, rg, rank, row = dec(address)
+                meta_miss(m_set, m_tag, cycle, 0)
         serve_read(address, fb, rg, rank, row, cycle)
 
     # ------------------------------------------------------------------
-    # Per-core trace state: chunk columns + CPU-side machine state
+    # Observability hooks
     # ------------------------------------------------------------------
-    with_meta = mode != _MODE_PLAIN
-    walk_mode = mode == _MODE_WALK
-
-    def _columnized(chunk_iter):
-        # Normalize a (gaps, writes, addresses) chunk stream into the columns
-        # the replay loop consumes: an int64 address array (still needed for
-        # decode/cache-coordinate vector math) plus plain-list gap / issue-
-        # delta / write columns.  Empty chunks are dropped here.
-        for gaps_a, writes_a, addrs_a in chunk_iter:
-            if not len(gaps_a):
-                continue
-            gaps_a = np.ascontiguousarray(gaps_a, dtype=np.int64)
-            yield (
-                np.ascontiguousarray(addrs_a, dtype=np.int64),
-                gaps_a.tolist(),
-                (gaps_a / issue_width).tolist(),
-                writes_a.tolist(),
-            )
-
-    core_chunks = []
-    if callable(getattr(trace, "iter_chunk_arrays", None)):
-        # Chunked store traces: per-core offset views are lazy array adds.
-        for core_id in range(num_cores):
-            view = trace.offset(core_id * stride)
-            core_chunks.append(_columnized(view.iter_chunk_arrays()))
-    else:
-        # In-memory traces: columnize the record list once and share the
-        # gap/write columns across cores -- only addresses differ per core
-        # (a constant stride), so per-core TraceRecord copies are never built.
-        base_chunks = list(_columnized(iter_memory_trace_chunks(trace)))
-
-        def _offset_chunks(offset):
-            for addrs_a, gap_list, gapdiv_list, write_list in base_chunks:
-                yield (
-                    (addrs_a + offset) if offset else addrs_a,
-                    gap_list,
-                    gapdiv_list,
-                    write_list,
-                )
-
-        for core_id in range(num_cores):
-            core_chunks.append(_offset_chunks(core_id * stride))
-
-    empty = [0] * 0
-    n_slots = num_cores
-    col_gap = [empty] * n_slots
-    col_gapdiv = [empty] * n_slots
-    col_write = [empty] * n_slots
-    col_addr = [empty] * n_slots
-    col_line = [empty] * n_slots
-    col_fb = [empty] * n_slots
-    col_rg = [empty] * n_slots
-    col_rk = [empty] * n_slots
-    col_row = [empty] * n_slots
-    col_maddr = [empty] * n_slots
-    col_mset = [empty] * n_slots
-    col_mtag = [empty] * n_slots
-    col_mfb = [empty] * n_slots
-    col_mrg = [empty] * n_slots
-    col_mrk = [empty] * n_slots
-    col_mrow = [empty] * n_slots
-    col_mleaf = [empty] * n_slots
-    core_idx = [0] * n_slots
-    core_len = [0] * n_slots
-    core_cpu = [0.0] * n_slots
-    core_instr = [0] * n_slots
-    core_reads = [0] * n_slots
-    core_writes = [0] * n_slots
-    core_lat = [0.0] * n_slots
-    out_comp = [[] for _ in range(n_slots)]
-    out_inst = [[] for _ in range(n_slots)]
-    out_head = [0] * n_slots
-    pv_head = [0] * n_slots  # ROB head the last preview stopped at
-    pf_last = [-1] * n_slots
-    pf_streak = [0] * n_slots
-    pf_sets = [set() for _ in range(n_slots)]
-
-    # Chunk refills are the batch engine's unit of work; when tracing is on
-    # each one becomes an "engine-chunk" span (child of the live "engine"
-    # span via the tracer's thread-local stack).  The guard keeps the
-    # traced-off replay loop free of any tracer work.
+    # Chunks handed to the replay become "engine-chunk" spans when tracing
+    # is on (children of the live "engine" span via the tracer's
+    # thread-local stack); off, the replay sees the plan directly.
     tracer = obs_tracing.current_tracer()
 
     # Timeline sampling mirrors System._sample_timeline value-for-value so
-    # reference and batch window samples agree exactly; off it costs the
-    # replay loop a single ``is not None`` test per access.
+    # reference and batch window samples agree exactly.  Off, it costs the
+    # replay one test per scheduler turn; on, every access is a turn and
+    # the core publishes its state (tl_publish) before yielding it.
     timeline = obs_timeline.current_timeline()
     tl_series = None
     tl_window = 0
     tl_steps = 0
-    if timeline is not None:
+    publish = timeline is not None
+    if publish:
         tl_series = timeline.series(
             workload=trace.name, configuration=spec.name, engine="batch"
         )
         tl_window = timeline.window
+    tl_instr = [0] * num_cores
+    tl_cpu = [0.0] * num_cores
+    tl_mshr = [0] * num_cores
+    tl_rob = [0] * num_cores
+
+    def tl_publish(c, instr, cpu, comp, inst, head):
+        tl_instr[c] = instr
+        tl_cpu[c] = cpu
+        tl_mshr[c] = len(comp) - head
+        tl_rob[c] = instr - inst[head] if head < len(comp) else 0
 
     def tl_sample():
         instructions = 0
@@ -868,15 +1004,12 @@ def _simulate_batch(trace, spec, experiment):
         mshr = 0
         rob = 0
         for core in range(num_cores):
-            instructions += core_instr[core]
-            v = core_cpu[core]
+            instructions += tl_instr[core]
+            v = tl_cpu[core]
             if v > cycles:
                 cycles = v
-            head = out_head[core]
-            n = len(out_comp[core])
-            mshr += n - head
-            if head < n:
-                rob += core_instr[core] - out_inst[core][head]
+            mshr += tl_mshr[core]
+            rob += tl_rob[core]
         depths = [0] * num_banks
         for e in wq:
             depths[e[3]] += 1
@@ -885,226 +1018,189 @@ def _simulate_batch(trace, spec, experiment):
             metadata_hits + metadata_reads, metadata_hits, rob, mshr, depths,
         )
 
-    def refill(c):
-        chunk_start = tracer.now() if tracer is not None else 0.0
-        try:
-            addrs_a, gap_list, gapdiv_list, write_list = next(core_chunks[c])
-        except StopIteration:
-            return False
-        col_gap[c] = gap_list
-        col_gapdiv[c] = gapdiv_list
-        col_write[c] = write_list
-        col_addr[c] = addrs_a.tolist()
-        lines_a = addrs_a >> 6
-        if prefetch_enabled:
-            col_line[c] = lines_a.tolist()
-        decoded = mapping.decode_arrays(addrs_a)
-        col_fb[c] = mapping.flat_bank_arrays(decoded).tolist()
-        col_rg[c] = (decoded.rank * num_bg + decoded.bank_group).tolist()
-        col_rk[c] = decoded.rank.tolist()
-        col_row[c] = decoded.row.tolist()
-        if with_meta:
-            meta_line_a = lines_a // meta_per_line
-            maddr_a = meta_base + meta_line_a * 64
-            mset_a, mtag_a = cache_geometry.index_and_tag_arrays(maddr_a)
-            mdec = mapping.decode_arrays(maddr_a)
-            col_maddr[c] = maddr_a.tolist()
-            col_mset[c] = mset_a.tolist()
-            col_mtag[c] = mtag_a.tolist()
-            col_mfb[c] = mapping.flat_bank_arrays(mdec).tolist()
-            col_mrg[c] = (mdec.rank * num_bg + mdec.bank_group).tolist()
-            col_mrk[c] = mdec.rank.tolist()
-            col_mrow[c] = mdec.row.tolist()
-            if walk_mode:
-                col_mleaf[c] = np.minimum(meta_line_a, leaf_limit).tolist()
-        core_idx[c] = 0
-        core_len[c] = len(gap_list)
-        if tracer is not None:
-            tracer.record(
-                "engine-chunk", chunk_start, tracer.now() - chunk_start,
-                attrs={"core": c, "accesses": core_len[c]},
-            )
-        return True
+    # ------------------------------------------------------------------
+    # Per-core issue/ROB kernel
+    # ------------------------------------------------------------------
+    finals = [None] * num_cores  # (final cycle, instructions, reads, latency)
 
-    def preview(c):
-        # Core.next_issue_cycle() on core-local state only, so the issue
-        # cycle -- and, for a read, the ROB/MSHR head the scan stopped at,
-        # left in pv_head -- stay valid until this core steps again.
-        i = core_idx[c]
-        if i >= core_len[c]:
-            if not refill(c):
-                return None
-            i = 0
-        issue = core_cpu[c] + col_gapdiv[c][i]
-        if not col_write[c][i]:
-            comp = out_comp[c]
-            inst = out_inst[c]
-            j = out_head[c]
-            n = len(comp)
-            inst_index = core_instr[c] + col_gap[c][i]
-            while j < n and inst_index - inst[j] > rob_entries:
-                v = comp[j]
-                if v > issue:
-                    issue = v
-                j += 1
-            while n - j >= mshr_entries:
-                v = comp[j]
-                if v > issue:
-                    issue = v
-                j += 1
-            pv_head[c] = j
-        return issue
+    def core_kernel(c, chunk_pairs):
+        # One core as a generator: trace cursor, ROB/MSHR window and core
+        # counters live in fast locals.  It yields the cycle its next access
+        # issues at (Core.next_issue_cycle()); the scheduler resumes it with
+        # a bound and it performs that access.  While its next issue stays
+        # below the bound it is still the scheduler's pick, so it goes on
+        # without yielding: the other cores' next issues cannot change while
+        # they wait.  The ROB/MSHR scan for a read happens before the yield;
+        # it reads core-local state only, so it stays valid meanwhile.
+        nonlocal cur_cycle, demand_reads, demand_writes, metadata_hits
+        nonlocal forwarded_reads, total_read_latency
+        cpu = 0.0  # issue cycle of the last access
+        instr = 0
+        reads = 0
+        lat = 0.0
+        comp = []  # completion cycles of issued reads, in issue order
+        inst = []  # their instruction indices
+        head = 0  # first read still held by the ROB/MSHR window
+        bound = _NEVER  # yield the first issue cycle
+        for core_chunk, meta_chunk in chunk_pairs:
+            writes = core_chunk[2]
+            reads += len(writes) - sum(writes)
+            for (
+                gap, delta, write, addr, fb, rg, rk, row, pf, m_set, m_tag,
+            ) in zip(*core_chunk, *meta_chunk):
+                issue = cpu + delta
+                inst_index = instr + gap
+                if write:
+                    if issue >= bound:
+                        if publish:
+                            tl_publish(c, instr, cpu, comp, inst, head)
+                        bound = yield issue
+                    demand_writes += 1
+                    cycle = int(issue / ratio)
+                    if with_meta:
+                        lines = meta_sets[m_set]
+                        v = lines.pop(m_tag, None)
+                        if v is not None:
+                            # Metadata-cache hit: LRU touch, dirty bit.
+                            metadata_hits += 1
+                            lines[m_tag] = v | 1
+                        elif walk_mode:
+                            walk_miss(m_set, m_tag, cycle, 1)
+                        else:
+                            meta_miss(m_set, m_tag, cycle, 1)
+                    enq(addr, fb, rg, rk, row, cycle)
+                else:
+                    j = head
+                    n = len(comp)
+                    while j < n and inst_index - inst[j] > rob_entries:
+                        v = comp[j]
+                        if v > issue:
+                            issue = v
+                        j += 1
+                    while n - j >= mshr_entries:
+                        v = comp[j]
+                        if v > issue:
+                            issue = v
+                        j += 1
+                    if issue >= bound:
+                        if publish:
+                            tl_publish(c, instr, cpu, comp, inst, head)
+                        bound = yield issue
+                    if j > 1024:
+                        del comp[:j]
+                        del inst[:j]
+                        j = 0
+                    head = j
+                    issue_dram = (issue + onchip) / ratio
+                    if pf is True:
+                        # Covered by an earlier prefetch.
+                        completion_cpu = issue_dram * ratio + onchip
+                    else:
+                        if pf is not None:
+                            for target in pf:
+                                prefetch_read(*target, issue_dram)
+                        demand_reads += 1
+                        cycle = int(issue_dram)
+                        extra = extra_hit
+                        meta_done = cycle
+                        if with_meta:
+                            lines = meta_sets[m_set]
+                            v = lines.pop(m_tag, None)
+                            if v is not None:
+                                metadata_hits += 1
+                                lines[m_tag] = v
+                            else:
+                                extra = extra_miss
+                                if walk_mode:
+                                    meta_done = walk_miss(m_set, m_tag, cycle, 0)
+                                else:
+                                    meta_done = meta_miss(m_set, m_tag, cycle, 0)
+                        # The demand data read, inline serve_read().
+                        if cycle > cur_cycle:
+                            cur_cycle = cycle
+                        if addr in wq_count:
+                            forwarded_reads += 1
+                            completion_dram = cur_cycle
+                        else:
+                            completion_dram = chan_read(fb, rg, rk, row, cur_cycle)
+                            total_read_latency += completion_dram - cycle
+                        if meta_done > completion_dram:
+                            completion_dram = meta_done
+                        completion_cpu = completion_dram * ratio + onchip + extra
+                    comp.append(completion_cpu)
+                    inst.append(inst_index)
+                    lat += completion_cpu - issue
+                cpu = issue
+                instr = inst_index
+        if publish:
+            tl_publish(c, instr, cpu, comp, inst, head)
+        final_cycle = cpu
+        if head < len(comp):
+            tail_max = max(comp[head:])
+            if tail_max > final_cycle:
+                final_cycle = tail_max
+        finals[c] = (final_cycle if final_cycle >= 1.0 else 1.0, instr, reads, lat)
 
-    active = []
+    # ------------------------------------------------------------------
+    # Scheduler: the core with the earliest next issue steps (first wins
+    # ties, matching System.run())
+    # ------------------------------------------------------------------
+    meta = (meta_base, meta_per_line, num_sets) if with_meta else None
+    stride = system_config.per_core_address_stride
+    steps = []
     next_issue = []
     for c in range(num_cores):
-        cycle = preview(c)
-        if cycle is not None:
-            active.append(c)
-            next_issue.append(cycle)
+        pairs = _replay_chunks(
+            trace, c * stride, mapping, core_config.issue_width, prefetcher, meta
+        )
+        if tracer is not None:
+            pairs = _traced_chunks(tracer, c, pairs)
+        step = core_kernel(c, pairs).send
+        try:
+            cycle = step(None)
+        except StopIteration:
+            continue
+        steps.append(step)
+        next_issue.append(cycle)
 
-    while active:
+    # The picked core keeps the turn while its next issue is below every
+    # earlier core's (which win ties) and at most every later core's: below
+    # ``bound``, set from the earliest other core.  A live timeline samples
+    # between accesses, so then every access is a turn of its own.
+    bound = _NEVER
+    while steps:
         issue = min(next_issue)
-        # The first minimum wins ties, matching System.run().
         pos = next_issue.index(issue)
-        c = active[pos]
-        i = core_idx[c]
-        inst_index = core_instr[c] + col_gap[c][i]
-        if col_write[c][i]:
-            demand_writes += 1
-            cycle = int(issue / ratio)
-            if with_meta:
-                m_set = col_mset[c][i]
-                m_tag = col_mtag[c][i]
-                entry = cache_sets.get(m_set)
-                way = None if entry is None else entry[3].get(m_tag)
-                if way is not None:
-                    # Metadata-cache hit: LRU touch, dirty bit and hit count.
-                    metadata_hits += 1
-                    lru = entry[2]
-                    lru.remove(way)
-                    lru.append(way)
-                    entry[1][way] = True
-                elif walk_mode:
-                    walk(
-                        col_maddr[c][i], m_set, m_tag, col_mfb[c][i], col_mrg[c][i],
-                        col_mrk[c][i], col_mrow[c][i], col_mleaf[c][i], cycle, True,
-                    )
-                else:
-                    meta_access(
-                        col_maddr[c][i], m_set, m_tag, col_mfb[c][i], col_mrg[c][i],
-                        col_mrk[c][i], col_mrow[c][i], cycle, True,
-                    )
-            enq(col_addr[c][i], col_fb[c][i], col_rg[c][i], col_rk[c][i], col_row[c][i], cycle)
-            core_writes[c] += 1
-        else:
-            # The preview already scanned the ROB/MSHR for this read.
-            j = pv_head[c]
-            comp = out_comp[c]
-            if j > 1024:
-                del comp[:j]
-                del out_inst[c][:j]
-                j = 0
-            out_head[c] = j
-            issue_dram = (issue + onchip) / ratio
-            covered = False
-            if prefetch_enabled:
-                pf = pf_sets[c]
-                line = col_line[c][i]
-                line_address = line << 6
-                if line_address in pf:
-                    pf.discard(line_address)
-                    covered = True
-                else:
-                    streak = pf_streak[c] + 1 if line == pf_last[c] + 1 else 0
-                    pf_streak[c] = streak
-                    pf_last[c] = line
-                    if streak >= pf_threshold:
-                        for ahead in range(1, pf_degree + 1):
-                            target = (line + ahead) << 6
-                            if target not in pf:
-                                if len(pf) >= pf_max:
-                                    pf.clear()
-                                pf.add(target)
-                                prefetch_read(target, issue_dram)
-            if covered:
-                completion_dram = issue_dram
-                extra = 0.0
-            else:
-                demand_reads += 1
-                cycle = int(issue_dram)
-                extra = extra_hit
-                meta_done = cycle
-                if with_meta:
-                    m_set = col_mset[c][i]
-                    m_tag = col_mtag[c][i]
-                    entry = cache_sets.get(m_set)
-                    way = None if entry is None else entry[3].get(m_tag)
-                    if way is not None:
-                        metadata_hits += 1
-                        lru = entry[2]
-                        lru.remove(way)
-                        lru.append(way)
-                    else:
-                        extra = extra_miss
-                        if walk_mode:
-                            meta_done = walk(
-                                col_maddr[c][i], m_set, m_tag, col_mfb[c][i], col_mrg[c][i],
-                                col_mrk[c][i], col_mrow[c][i], col_mleaf[c][i], cycle, False,
-                            )[1]
-                        else:
-                            meta_done = meta_access(
-                                col_maddr[c][i], m_set, m_tag, col_mfb[c][i], col_mrg[c][i],
-                                col_mrk[c][i], col_mrow[c][i], cycle, False,
-                            )[1]
-                # The demand data read, inline serve_read().
-                if cycle > cur_cycle:
-                    cur_cycle = cycle
-                reads_served += 1
-                if col_addr[c][i] in wq_count:
-                    forwarded_reads += 1
-                    completion_dram = cur_cycle
-                else:
-                    completion_dram = chan_read(
-                        col_fb[c][i], col_rg[c][i], col_rk[c][i], col_row[c][i], cur_cycle
-                    )
-                    total_read_latency += completion_dram - cycle
-                if meta_done > completion_dram:
-                    completion_dram = meta_done
-            completion_cpu = completion_dram * ratio + onchip + extra
-            comp.append(completion_cpu)
-            out_inst[c].append(inst_index)
-            core_reads[c] += 1
-            core_lat[c] += completion_cpu - issue
-        core_cpu[c] = issue
-        core_instr[c] = inst_index
-        core_idx[c] = i + 1
-        if tl_series is not None:
+        if not publish:
+            next_issue[pos] = _FOREVER
+            bound = min(next_issue)
+            if next_issue.index(bound) > pos:
+                bound = nextafter(bound, _FOREVER)
+        try:
+            next_issue[pos] = steps[pos](bound)
+        except StopIteration:
+            del steps[pos]
+            del next_issue[pos]
+        if publish:
             tl_steps += 1
             if tl_steps % tl_window == 0:
                 tl_sample()
-        cycle = preview(c)
-        if cycle is None:
-            del active[pos]
-            del next_issue[pos]
-        else:
-            next_issue[pos] = cycle
 
     # ------------------------------------------------------------------
     # End of simulation: flush metadata cache + drain the write queue
     # ------------------------------------------------------------------
-    # Every metadata access either hits or reads its line from DRAM.
+    # Every metadata access either hits or reads its line from DRAM, and
+    # every read the controller serves is a demand read (prefetches
+    # included) or a metadata read.
     metadata_accesses = metadata_hits + metadata_reads
-    flush_writebacks = []
-    for set_index, entry in cache_sets.items():
-        tags, dirtys = entry[0], entry[1]
-        for way in range(assoc):
-            if tags[way] is not None and dirtys[way]:
-                dirtys[way] = False
-                flush_writebacks.append((tags[way] * num_sets + set_index) * 64)
-    for address in flush_writebacks:
-        wfb, wrg, wr, wrow = dec(address)
-        enq(address, wfb, wrg, wr, wrow, cur_cycle)
+    reads_served = demand_reads + metadata_reads
+    for set_index in touched:
+        dirty_ways = sorted(
+            (v >> 1, tag) for tag, v in meta_sets[set_index].items() if v & 1
+        )
+        for _, tag in dirty_ways:
+            address = (tag * num_sets + set_index) * 64
+            enq(address, *dec(address), cur_cycle)
     drained = drain(cur_cycle, 0)
     if drained > cur_cycle:
         cur_cycle = drained
@@ -1112,22 +1208,9 @@ def _simulate_batch(trace, spec, experiment):
     # ------------------------------------------------------------------
     # Assemble results exactly as SystemResult / collect_stats do
     # ------------------------------------------------------------------
-    ipcs = []
-    finals = []
-    for c in range(num_cores):
-        final_cycle = core_cpu[c]
-        comp = out_comp[c]
-        if out_head[c] < len(comp):
-            tail_max = max(comp[out_head[c]:])
-            if tail_max > final_cycle:
-                final_cycle = tail_max
-        if final_cycle < 1.0:
-            final_cycle = 1.0
-        finals.append(final_cycle)
-        ipcs.append(core_instr[c] / final_cycle if final_cycle > 0 else 0.0)
-    total_instructions = sum(core_instr)
-    total_reads = sum(core_reads)
-    total_latency = sum(core_lat)
+    total_instructions = sum(final[1] for final in finals)
+    total_reads = sum(final[2] for final in finals)
+    total_latency = sum(final[3] for final in finals)
     average_read_latency = total_latency / total_reads if total_reads else 0.0
 
     stats = {
@@ -1158,9 +1241,9 @@ def _simulate_batch(trace, spec, experiment):
     return SimulationResult(
         workload=trace.name,
         configuration=spec.name,
-        total_ipc=sum(ipcs),
+        total_ipc=sum(final[1] / final[0] for final in finals),
         total_instructions=total_instructions,
-        total_cycles=max(finals, default=0.0),
+        total_cycles=max((final[0] for final in finals), default=0.0),
         average_read_latency_cycles=average_read_latency,
         memory_stats=stats,
     )

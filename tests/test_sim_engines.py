@@ -8,8 +8,10 @@ mapping geometries, and over Hypothesis-generated experiments and traces
 (:class:`TestDifferentialParity`).
 """
 
+import gc
 import os
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +22,7 @@ from repro.cpu.trace import MemoryTrace, TraceRecord
 from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.errors import UnknownEngineError
 from repro.secure.configs import configuration_names, resolve_configuration
+from repro.sim import engines as engines_module
 from repro.sim.engines import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -306,6 +309,66 @@ class TestDifferentialParity:
         reference = run_simulation(trace, spec, experiment, engine="reference")
         batch = run_simulation(trace, spec, experiment, engine="batch")
         assert batch == reference
+
+
+# ---------------------------------------------------------------------------
+# Replay plans: built once per trace object, shared by every model
+# ---------------------------------------------------------------------------
+REUSE_BASE = ExperimentConfig(num_accesses=300, num_cores=2)
+
+
+class TestReplayPlanReuse:
+    """One trace object replayed under many models keeps exact parity.
+
+    The batch engine memoizes each in-memory trace's replay plan under
+    every input the plan depends on; a plan served under a key that misses
+    one of them would replay the wrong columns and differ here.
+    """
+
+    def test_interleaved_configurations_and_experiments(self):
+        trace = random_trace(5, accesses=300)
+        ddr5_tree = resolve_configuration("integrity_tree_64").derive(timing=DDR5_4800)
+        runs = [
+            (REUSE_BASE, "secddr_ctr"),
+            (REUSE_BASE, "integrity_tree_64"),
+            (REUSE_BASE, "secddr_xts"),
+            (REUSE_BASE, "integrity_tree_8_hash"),
+            (REUSE_BASE, "secddr_ctr_pack8"),
+            (REUSE_BASE, "secddr_ctr"),
+            (replace(REUSE_BASE, num_cores=3), "secddr_ctr"),
+            (replace(REUSE_BASE, num_cores=1), "integrity_tree_64"),
+            (replace(REUSE_BASE, issue_width=2), "secddr_xts"),
+            (replace(REUSE_BASE, issue_width=2), "integrity_tree_64"),
+            (replace(REUSE_BASE, enable_prefetcher=False), "secddr_ctr"),
+            (replace(REUSE_BASE, enable_prefetcher=False), "secddr_xts"),
+            (replace(REUSE_BASE, metadata_cache_bytes=4096), "integrity_tree_64"),
+            (replace(REUSE_BASE, metadata_cache_bytes=4096), "secddr_ctr"),
+            (REUSE_BASE, "secddr_xts_ddr5"),
+            (REUSE_BASE, ddr5_tree),
+            (REUSE_BASE, "integrity_tree_64"),
+        ]
+        for experiment, configuration in runs:
+            reference = run_simulation(trace, configuration, experiment, engine="reference")
+            batch = run_simulation(trace, configuration, experiment, engine="batch")
+            assert batch == reference, (experiment, configuration)
+        assert trace in engines_module._PLANS
+
+    def test_a_plan_lives_as_long_as_its_trace(self):
+        trace = random_trace(6)
+        run_simulation(trace, "secddr_ctr", FAST, engine="batch")
+        plans = engines_module._PLANS[trace]
+        del trace
+        gc.collect()
+        assert all(entry is not plans for entry in engines_module._PLANS.values())
+
+    def test_streamed_traces_get_no_plan(self, tmp_path):
+        from repro.traces import load_trace, save_trace
+
+        trace = random_trace(8)
+        view = load_trace(save_trace(trace, tmp_path / "t", chunk_size=64).path)
+        streamed = run_simulation(view, "integrity_tree_64", FAST, engine="batch")
+        assert view not in engines_module._PLANS
+        assert streamed == run_simulation(trace, "integrity_tree_64", FAST, engine="batch")
 
 
 # ---------------------------------------------------------------------------

@@ -112,20 +112,22 @@ class TestTimelineRecorder:
 # Engine integration: parity and zero effect
 # ---------------------------------------------------------------------------
 class TestEngineTimelineParity:
-    def test_reference_and_batch_emit_identical_windows(self):
+    # One configuration per batch replay mode: plain, meta and walk.
+    @pytest.mark.parametrize("configuration", ["tdx_baseline", "secddr_ctr", "integrity_tree_64"])
+    def test_reference_and_batch_emit_identical_windows(self, configuration):
         recorder = obs.TimelineRecorder(window=32)
         obs.set_timeline(recorder)
         experiment = ExperimentConfig(num_accesses=600, num_cores=2)
         for engine in ("reference", "batch"):
             run_comparison(
-                ["secddr_ctr"], ["mcf"], experiment=experiment, engine=engine,
+                [configuration], ["mcf"], experiment=experiment, engine=engine,
             )
         obs.set_timeline(None)
         payload = recorder.to_payload()
         by_engine = {
             series["engine"]: series
             for series in payload["series"]
-            if series["configuration"] == "secddr_ctr"
+            if series["configuration"] == configuration
         }
         assert set(by_engine) == {"reference", "batch"}
         reference, batch = by_engine["reference"], by_engine["batch"]

@@ -455,14 +455,17 @@ class TestStreamingSimulation:
             assert streamed.total_ipc == in_memory.total_ipc
             assert streamed.memory_stats == in_memory.memory_stats
 
-    def test_simulation_streams_in_bounded_chunk_window(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["reference", "batch"])
+    def test_simulation_streams_in_bounded_chunk_window(self, tmp_path, engine):
         # 40 chunks on disk, at most 4 resident: the simulation never holds
         # more than the configured window no matter how long the trace is.
         trace = small_trace(2000)
         save_trace(trace, tmp_path / "t", chunk_size=50)
         view = load_trace(tmp_path / "t", max_cached_chunks=4)
         assert view.store.num_chunks == 40
-        result = run_simulation(view, "secddr_ctr", ExperimentConfig(num_accesses=2000, num_cores=4))
+        result = run_simulation(
+            view, "secddr_ctr", ExperimentConfig(num_accesses=2000, num_cores=4), engine=engine
+        )
         assert result.total_ipc > 0
         assert view.store.max_resident_chunks <= 4
 
